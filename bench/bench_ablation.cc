@@ -8,6 +8,7 @@
 //      fast what-if provides (the paper's foundational assumption).
 //   4. Candidate-set richness (extra variants on/off) — quality impact
 //      of CGen's no-pruning philosophy.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -39,13 +40,15 @@ int main(int argc, char** argv) {
   {
     struct Config {
       const char* name;
-      bool presolve, root_lp, lagrangian;
+      bool presolve;
+      lp::RootLpMode root_lp;
+      bool lagrangian;
     };
     const Config configs[] = {
-        {"full", true, true, true},
-        {"no_root_lp", true, false, true},
-        {"no_lagrangian", true, true, false},
-        {"baseline", false, false, false},
+        {"full", true, lp::RootLpMode::kWhenUnproven, true},
+        {"no_root_lp", true, lp::RootLpMode::kOff, true},
+        {"no_lagrangian", true, lp::RootLpMode::kWhenUnproven, false},
+        {"baseline", false, lp::RootLpMode::kOff, false},
     };
     for (const Config& c : configs) {
       Env e = Env::Make(0.0, false, n, false);
@@ -61,7 +64,9 @@ int main(int argc, char** argv) {
       CoPhy advisor(e.system.get(), &e.pool, e.workload, opts);
       advisor.Prepare();
       const Recommendation rec = advisor.Tune(cs);
-      const double root_gap = RootGapPct(rec.objective, rec.root_lp_bound);
+      const double root_gap = RootGapPct(
+          rec.objective,
+          std::max(rec.root_lp_bound, rec.root_lagrangian_bound));
       Row({{"config", c.name},
            {"solve_s", Fmt("%.1f", rec.timings.solve_seconds)},
            {"gap_pct", Fmt("%.1f", 100 * rec.gap)},

@@ -109,10 +109,13 @@ int main(int argc, char** argv) {
       static_cast<long long>(presolve.indexes_out));
   std::printf(
       "status=%s nodes=%lld obj=%.6g lb=%.6g gap=%.2f%% root_lp=%.6g "
-      "(rows=%lld) root_lagr=%.6g fixed=%lld\n",
+      "(rows=%lld%s) root_lagr=%.6g (%lld volume iterations) fixed=%lld\n",
       sol.status.ToString().c_str(), static_cast<long long>(sol.nodes),
       sol.objective, sol.lower_bound, 100 * sol.gap, sol.root_lp_bound,
-      static_cast<long long>(sol.root_lp_rows), sol.root_lagrangian_bound,
+      static_cast<long long>(sol.root_lp_rows),
+      sol.root_bound.lp_escalated ? ", escalated" : "",
+      sol.root_lagrangian_bound,
+      static_cast<long long>(sol.root_bound.dual_iterations),
       static_cast<long long>(sol.variables_fixed));
   return 0;
 }

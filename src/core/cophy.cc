@@ -186,6 +186,7 @@ Recommendation CoPhy::TuneInternal(const ConstraintSet& constraints,
   rec.root_lagrangian_bound = sol.root_lagrangian_bound;
   rec.variables_fixed = sol.variables_fixed;
   rec.root_lp_stats = sol.root_lp_stats;
+  rec.root_bound = sol.root_bound;
   return rec;
 }
 

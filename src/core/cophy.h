@@ -37,9 +37,10 @@ struct CoPhyOptions {
   /// pruning, index dropping — §5's shrinking story). Exact: identical
   /// objectives and re-inflated recommendations either way.
   bool presolve = true;
-  /// Solve the full root LP relaxation (tight root bound, dual-seeded
-  /// Lagrangian multipliers, reduced-cost variable fixing).
-  bool root_lp = true;
+  /// When to solve the full root LP relaxation (tight root bound,
+  /// dual-seeded Lagrangian multipliers, reduced-cost variable fixing):
+  /// by default only when the volume dual cannot prove the gap.
+  lp::RootLpMode root_lp = lp::RootLpMode::kWhenUnproven;
   /// Progress feedback; return false to terminate early with the
   /// current solution (§4.2).
   std::function<bool(const lp::MipProgress&)> callback;
@@ -83,9 +84,12 @@ struct Recommendation {
   int64_t nodes = 0;
   int64_t bound_evaluations = 0;   ///< solver bound computations (work proxy)
   /// Root bounds: the full LP relaxation optimum and the Lagrangian
-  /// dual after subgradient optimization (-inf when skipped/disabled).
+  /// dual after the volume algorithm (-inf when skipped/disabled).
   double root_lp_bound = -lp::kInf;
   double root_lagrangian_bound = -lp::kInf;
+  /// The root gate: volume iterations, and whether the LP was skipped
+  /// or escalated (and at which gap).
+  lp::RootBoundStats root_bound;
   int64_t variables_fixed = 0;     ///< z fixed 0/1 by root reduced costs
   /// Simplex work behind the root LP bound (pivots, warm-start
   /// acceptance, LU refactorizations / eta fill / drift / solve time).

@@ -174,6 +174,25 @@ std::string RenderSolverActivity(const SolverActivity& activity) {
     out += StrFormat(", %lld z fixed by reduced costs\n",
                      static_cast<long long>(activity.variables_fixed));
   }
+  const lp::RootBoundStats& rb = activity.root_bound;
+  if (rb.dual_iterations > 0 || rb.lp_escalated) {
+    const char* verdict = "root LP skipped";
+    if (rb.mode == lp::RootLpMode::kAlways) {
+      verdict = "root LP always runs";
+    } else if (rb.mode == lp::RootLpMode::kOff) {
+      verdict = "root LP off";
+    } else if (rb.lp_escalated) {
+      verdict = "root LP escalated";
+    }
+    const std::string dual_gap =
+        std::isfinite(rb.dual_gap) ? StrFormat("%.2f%%", 100 * rb.dual_gap)
+                                   : std::string("unproven");
+    out += StrFormat(
+        "Root gate: %lld volume iterations, dual gap %s vs gate %.2f%% -> "
+        "%s\n",
+        static_cast<long long>(rb.dual_iterations), dual_gap.c_str(),
+        100 * rb.gate_gap, verdict);
+  }
   if (activity.shards_quarantined > 0 || activity.coverage < 1.0) {
     out += StrFormat(
         "DEGRADED: %d shard%s quarantined, recommendation covers %.1f%% "

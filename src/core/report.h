@@ -71,6 +71,9 @@ struct SolverActivity {
   /// Optional: the root LP's own simplex/factorization work (filled
   /// from ChoiceSolution::root_lp_stats / Recommendation::root_lp_stats).
   lp::LpSolveStats root_lp_stats;
+  /// Optional: the root gate (volume iterations, LP skipped or
+  /// escalated). Rendered when the dual ran or the LP was escalated.
+  lp::RootBoundStats root_bound;
   /// Optional degraded-mode accounting (filled from a sharded session's
   /// Recommendation). Rendered only when shards were quarantined.
   double coverage = 1.0;

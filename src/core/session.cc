@@ -500,9 +500,9 @@ Recommendation AdvisorSession::TuneInternal(const ConstraintSet& constraints,
   }
 
   // DBA feedback folds into the solve as ordinary E.1 rows (z == 1 for
-  // accepted ids, z == 0 for vetoed) — presolve, warm starts, and the
-  // constraint-side digest (so the root LP re-runs when the ledger
-  // changes) all see them like any caller constraint.
+  // accepted ids, z == 0 for vetoed) — presolve, warm starts and the
+  // root LP see them like any caller constraint, and the solver's
+  // Lagrangian dual fixes the verdict's z instead of relaxing the row.
   const ConstraintSet* active = &constraints;
   ConstraintSet with_feedback;
   if (!feedback_.empty()) {
@@ -549,7 +549,6 @@ Recommendation AdvisorSession::TuneInternal(const ConstraintSet& constraints,
   so.root_lp = options_.tuning.root_lp;
   so.callback = options_.tuning.callback;
   so.resolve = &resolve_;
-  const uint64_t constraint_digest = lp::ChoiceConstraintSideDigest(problem);
   if (!warm) {
     // Cold semantics: ignore any previous state (it is still refreshed
     // below, so a later Retune warm-starts from this solve).
@@ -571,30 +570,19 @@ Recommendation AdvisorSession::TuneInternal(const ConstraintSet& constraints,
     if (resolve_.valid &&
         resolve_.structure_digest == so.structure_digest_hint) {
       // Delta budget: the BIP kept its structure, so the solver only
-      // has to account for the re-weighting (§4.2, Fig. 6(b)) and the
-      // subgradient restarts from the previous duals (or the warm root
-      // LP's) — a short polish suffices. When the root LP does run, the
-      // retained exit basis in `resolve_` seeds it through the *dual*
+      // has to account for the re-weighting (§4.2, Fig. 6(b)), and the
+      // volume dual restarts from the previous multipliers — usually
+      // proving the gap without the root LP. When the LP does run, the
+      // retained basis in `resolve_` seeds it through the *dual*
       // simplex (the old optimum stays dual feasible under re-weighted
       // bounds), so the re-tune skips primal phase 1 entirely. A
       // structural change skips all of this and re-solves with the full
       // cold budget (the resolve state falls back automatically inside
       // SolveChoiceProblem).
       so.node_limit = std::max<int64_t>(500, options_.tuning.node_limit / 8);
-      so.lagrangian_iterations = std::max(40, so.lagrangian_iterations / 8);
       if (std::isfinite(options_.tuning.time_limit_seconds)) {
         so.time_limit_seconds =
             std::max(1.0, options_.tuning.time_limit_seconds / 8);
-      }
-      // On a pure re-weighting — same constraint picture too (the
-      // structure digest is deliberately blind to budgets, caps, and
-      // right-hand sides) — the root LP, the dominant root cost, buys
-      // almost nothing over the seeded duals: skip it. A budget or cap
-      // change keeps the full PR-3 root machinery (fresh LP bound,
-      // reduced-cost fixing) for bound quality.
-      if (so.lagrangian && !resolve_.mu.empty() &&
-          constraint_digest == last_constraint_digest_) {
-        so.root_lp = false;
       }
     }
   }
@@ -604,7 +592,6 @@ Recommendation AdvisorSession::TuneInternal(const ConstraintSet& constraints,
 
   rec.status = sol.status;
   if (!sol.status.ok()) return rec;
-  last_constraint_digest_ = constraint_digest;
 
   std::vector<IndexId> chosen;
   for (size_t i = 0; i < sol.selected.size(); ++i) {
@@ -625,6 +612,7 @@ Recommendation AdvisorSession::TuneInternal(const ConstraintSet& constraints,
   rec.root_lagrangian_bound = sol.root_lagrangian_bound;
   rec.variables_fixed = sol.variables_fixed;
   rec.root_lp_stats = sol.root_lp_stats;
+  rec.root_bound = sol.root_bound;
   return rec;
 }
 

@@ -224,10 +224,6 @@ class AdvisorSession {
   double route_seconds_total_ = 0;   // routing + view (re)builds
   lp::ChoiceResolveState resolve_;
   std::vector<IndexId> last_chosen_;  // warm-start repair across refreshes
-  /// Constraint-side digest (budget/caps/rhs) of the last solved
-  /// problem: the root-LP skip requires this unchanged too, so budget
-  /// or cap retunes keep the full root-bound machinery.
-  uint64_t last_constraint_digest_ = 0;
   std::unique_ptr<ThreadPool> workers_;
   // Online-tuning state (core/drift.h).
   int64_t epoch_ = 0;              // logical clock for weight decay

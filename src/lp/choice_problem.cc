@@ -153,27 +153,34 @@ ChoiceSolver::ChoiceSolver(const ChoiceProblem* problem) : p_(problem) {
         plan_start_[q] + static_cast<int32_t>(p_->queries[q].plans.size());
   }
   slot_start_.assign(plan_start_.back() + 1, 0);
+  plan_wbeta_.reserve(plan_start_.back());
   // Assign one μ-slot per distinct (query, index) pair and map every
   // option entry (canonical iteration order) to its slot.
   std::vector<int32_t> mu_slot_of(p_->num_indexes, -1);
   for (int q = 0; q < static_cast<int>(p_->queries.size()); ++q) {
     std::vector<int> touched;
+    const double w = p_->queries[q].weight;
     const auto& plans = p_->queries[q].plans;
     for (int pi = 0; pi < static_cast<int>(plans.size()); ++pi) {
       const int plan_id = plan_start_[q] + pi;
       slot_start_[plan_id + 1] =
           slot_start_[plan_id] + static_cast<int32_t>(plans[pi].slots.size());
+      plan_wbeta_.push_back(w * plans[pi].beta);
       for (int si = 0; si < static_cast<int>(plans[pi].slots.size()); ++si) {
+        opt_start_.push_back(static_cast<int32_t>(opt_mu_.size()));
         for (const ChoiceOption& o : plans[pi].slots[si].options) {
-          if (o.index == kBaseOption) continue;
+          opt_wgamma_.push_back(w * o.gamma);
+          if (o.index == kBaseOption) {
+            opt_mu_.push_back(-1);
+            continue;
+          }
           if (mu_slot_of[o.index] < 0) {
             mu_slot_of[o.index] = static_cast<int32_t>(mu_owner_index_.size());
             mu_owner_index_.push_back(o.index);
-            mu_owner_query_.push_back(q);
             queries_of_index_[o.index].push_back(q);
             touched.push_back(o.index);
           }
-          entry_mu_idx_.push_back(mu_slot_of[o.index]);
+          opt_mu_.push_back(mu_slot_of[o.index]);
           // Positions arrive in iteration order, so a back-of-list
           // check is all the dedup the slot inverted list needs (a
           // repeat of one index within a slot keeps the first = the
@@ -188,6 +195,17 @@ ChoiceSolver::ChoiceSolver(const ChoiceProblem* problem) : p_(problem) {
     }
     indexes_of_query_[q].assign(touched.begin(), touched.end());
     for (int a : touched) mu_slot_of[a] = -1;  // reset for the next query
+  }
+  opt_start_.push_back(static_cast<int32_t>(opt_mu_.size()));
+  // A single-index equality row (a DBA accept or veto) pins its z.
+  forced_.assign(p_->num_indexes, -1);
+  for (const ZRow& row : p_->z_rows) {
+    if (row.sense != Sense::kEq || row.terms.size() != 1) continue;
+    const auto& [a, c] = row.terms[0];
+    if (c == 0.0) continue;
+    const double v = row.rhs / c;
+    if (std::abs(v) <= 1e-9) forced_[a] = 0;
+    if (std::abs(v - 1.0) <= 1e-9) forced_[a] = 1;
   }
 }
 
@@ -359,54 +377,81 @@ double ChoiceSolver::NodeBound(const std::vector<int8_t>& fixed,
   return total + correction;
 }
 
-double ChoiceSolver::LagrangianNodeBound(const std::vector<int8_t>& fixed) const {
-  if (!mu_ready_) return -kInf;
+double ChoiceSolver::EvaluateLagrangian(const std::vector<double>& mu,
+                                        const std::vector<double>& mu_sum,
+                                        double lambda,
+                                        const std::vector<int8_t>& fixed,
+                                        LagrangianPoint* point) const {
+  // z subproblem: a free index opens iff its reduced coefficient
+  // fixed_cost + λσ − Σμ is negative; fixed ones pay theirs.
   double total = p_->constant_cost;
   const bool budgeted = p_->storage_budget < kInf;
-  if (budgeted) total -= lambda_;  // λ · (normalized budget of 1)
+  if (budgeted) total -= lambda;  // λ · (normalized budget of 1)
+  if (point != nullptr) {
+    point->chosen.clear();
+    point->storage = 0.0;
+  }
   for (int a = 0; a < p_->num_indexes; ++a) {
-    const double coef = p_->fixed_cost[a] +
-                        (budgeted ? lambda_ * sigma_[a] : 0.0) - mu_sum_[a];
-    if (fixed[a] == 1) {
-      total += coef;
-    } else if (fixed[a] == -1) {
-      total += std::min(0.0, coef);
+    const double coef =
+        p_->fixed_cost[a] + (budgeted ? lambda * sigma_[a] : 0.0) - mu_sum[a];
+    const bool open = fixed[a] == 1 || (fixed[a] == -1 && coef < 0);
+    if (open) total += coef;
+    if (point != nullptr) {
+      point->z[a] = open ? 1 : 0;
+      if (open) point->storage += sigma_[a];
     }
   }
-  size_t e = 0;  // cursor over entry_mu_idx_ (canonical iteration order)
-  for (const ChoiceQuery& query : p_->queries) {
+  // x subproblem: per query, the μ-priced cheapest plan, each slot at
+  // its cheapest available option.
+  const int nq = static_cast<int>(p_->queries.size());
+  for (int q = 0; q < nq; ++q) {
     double qbest = kInf;
-    for (const ChoicePlan& plan : query.plans) {
-      double c = query.weight * plan.beta;
-      bool ok = true;
-      // Every slot/option is visited (no early exit) so the entry
-      // cursor stays aligned.
-      for (const ChoiceSlot& slot : plan.slots) {
+    int best_plan = -1;
+    for (int plan_id = plan_start_[q]; plan_id < plan_start_[q + 1];
+         ++plan_id) {
+      double c = plan_wbeta_[plan_id];
+      for (int32_t slot = slot_start_[plan_id];
+           slot < slot_start_[plan_id + 1] && c < kInf; ++slot) {
         double g = kInf;
-        for (const ChoiceOption& o : slot.options) {
-          double price;
-          if (o.index == kBaseOption) {
-            price = query.weight * o.gamma;
-          } else {
-            price = query.weight * o.gamma + mu_[entry_mu_idx_[e]];
-            ++e;
-          }
-          if ((o.index == kBaseOption || fixed[o.index] != 0) && price < g) {
-            g = price;
-          }
+        for (int32_t k = opt_start_[slot]; k < opt_start_[slot + 1]; ++k) {
+          const int32_t m = opt_mu_[k];
+          if (m >= 0 && fixed[mu_owner_index_[m]] == 0) continue;
+          const double price = m < 0 ? opt_wgamma_[k] : opt_wgamma_[k] + mu[m];
+          if (price < g) g = price;
         }
-        if (g == kInf) {
-          ok = false;
-        } else {
-          c += g;
-        }
+        c += g;
       }
-      if (ok) qbest = std::min(qbest, c);
+      if (c < qbest) {
+        qbest = c;
+        best_plan = plan_id;
+      }
     }
     if (qbest == kInf) return kInf;
     total += qbest;
+    if (point == nullptr) continue;
+    // Re-walk the winning plan to record its chosen (query, index) pairs.
+    for (int32_t slot = slot_start_[best_plan];
+         slot < slot_start_[best_plan + 1]; ++slot) {
+      double g = kInf;
+      int32_t g_mu = -1;
+      for (int32_t k = opt_start_[slot]; k < opt_start_[slot + 1]; ++k) {
+        const int32_t m = opt_mu_[k];
+        if (m >= 0 && fixed[mu_owner_index_[m]] == 0) continue;
+        const double price = m < 0 ? opt_wgamma_[k] : opt_wgamma_[k] + mu[m];
+        if (price < g) {
+          g = price;
+          g_mu = m;
+        }
+      }
+      if (g_mu >= 0) point->chosen.push_back(g_mu);
+    }
   }
   return total;
+}
+
+double ChoiceSolver::LagrangianNodeBound(const std::vector<int8_t>& fixed) const {
+  if (!mu_ready_) return -kInf;
+  return EvaluateLagrangian(mu_, mu_sum_, lambda_, fixed, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,7 +495,7 @@ bool ChoiceSolver::BuildRootLp(Model* model, RootLpLayout* layout,
     model->AddVariable(0.0, 1.0, p_->fixed_cost[a], /*is_integer=*/true);
   }
   layout->mu_link_row.assign(mu_owner_index_.size(), -1);
-  size_t e = 0;  // canonical non-base entry cursor (entry_mu_idx_ order)
+  size_t k = 0;  // canonical option cursor (opt_mu_ order)
   std::vector<std::pair<VarId, double>> pick, fill, cap_terms;
   std::vector<std::pair<int32_t, VarId>> links;  // (μ slot, x var)
   for (const ChoiceQuery& q : p_->queries) {
@@ -483,14 +528,14 @@ bool ChoiceSolver::BuildRootLp(Model* model, RootLpLayout* layout,
         fill.clear();
         fill.push_back({y, -1.0});
         for (const ChoiceOption& o : slot.options) {
+          const int32_t mu = opt_mu_[k++];
           if (o.index == kBaseOption) continue;
           const double delta = has_base ? o.gamma - base_gamma : o.gamma;
           const VarId x =
               model->AddVariable(0.0, 1.0, q.weight * delta, true);
           fill.push_back({x, 1.0});
           if (has_cap) cap_terms.push_back({x, delta});
-          links.push_back({entry_mu_idx_[e], x});
-          ++e;
+          links.push_back({mu, x});
         }
         if (fill.size() > 1 || !has_base) {
           // Σ_a x <= y with a base fallback (the slack is the base
@@ -518,7 +563,7 @@ bool ChoiceSolver::BuildRootLp(Model* model, RootLpLayout* layout,
       layout->mu_link_row[mu] = model->EndRow();
     }
   }
-  COPHY_CHECK_EQ(e, entry_mu_idx_.size());
+  COPHY_CHECK_EQ(k, opt_mu_.size());
   layout->storage_row = -1;
   if (p_->storage_budget < kInf) {
     model->BeginRow(Sense::kLe, p_->storage_budget);
@@ -568,7 +613,6 @@ void ChoiceSolver::SeedLagrangianFromDuals(const LpSolution& lp,
               std::max(1.0, p_->storage_budget);
   }
   mu_ready_ = true;
-  mu_seeded_ = true;
 }
 
 int ChoiceSolver::ApplyReducedCostFixing(double upper_bound) {
@@ -616,161 +660,199 @@ int ChoiceSolver::ApplyReducedCostFixing(double upper_bound) {
 }
 
 // ---------------------------------------------------------------------------
-// Lagrangian dual (subgradient on the linking constraints + storage)
+// Lagrangian dual: the volume algorithm (Barahona & Anbil, Math. Prog.
+// 87, 2000). Plain subgradient steps along the latest subproblem
+// solution zig-zag and stall far below the dual optimum; volume steps
+// along an exponentially averaged primal (x̄, z̄) instead — whose
+// violation of the dualized rows approximates the LP optimum's — and
+// moves its center only on improving steps, so the center always holds
+// the best multipliers found.
 
-double ChoiceSolver::OptimizeLagrangian(double upper_bound, int iterations) {
+namespace {
+// Step-size factor: start, bounds, and its green/red adjustments.
+constexpr double kVolumeStepInit = 0.05;
+constexpr double kVolumeStepMax = 2.0;
+constexpr double kVolumeStepMin = 1e-4;
+constexpr double kVolumeGreenGrowth = 1.02;
+constexpr double kVolumeRedShrink = 0.66;
+constexpr int kVolumeRedStreak = 20;
+// Averaging weight α ∈ [α_max / 10, α_max]; α_max halves whenever a
+// window of iterations lifts the bound by less than 1%.
+constexpr double kVolumeAlphaInit = 0.1;
+constexpr double kVolumeAlphaMin = 1e-4;
+// Progress window of the α_max schedule and the give-up test.
+constexpr int kVolumeWindow = 100;
+}  // namespace
+
+ChoiceSolver::DualRun ChoiceSolver::OptimizeLagrangian(const DualStop& stop,
+                                                       int iterations) {
+  DualRun run;
+  if (iterations <= 0) return run;
   const size_t num_mu = mu_owner_index_.size();
-  if (!mu_seeded_) {
-    // Cold start from zero multipliers (the §4.1 schedule); a prior
-    // SeedLagrangianFromDuals call leaves μ/λ/σ at the LP duals instead
-    // and the first iteration evaluates that point.
+  const int n = p_->num_indexes;
+  const bool budgeted = p_->storage_budget < kInf;
+  if (!mu_ready_) {
     mu_.assign(num_mu, 0.0);
-    mu_sum_.assign(p_->num_indexes, 0.0);
+    mu_sum_.assign(n, 0.0);
     lambda_ = 0.0;
     EnsureSigma();
+    mu_ready_ = true;
   }
 
-  const bool budgeted = p_->storage_budget < kInf;
-  std::vector<int8_t> x(num_mu);        // x_{q,a} of the inner solution
-  std::vector<uint8_t> z(p_->num_indexes);
-  std::vector<double> best_mu;
-  std::vector<double> best_mu_sum;
-  double best_lambda = 0.0;
-  double best = -kInf;
-  double alpha = 1.0;
-  int stall = 0;
+  // Every buffer is sized once here; the iterations allocate nothing.
+  LagrangianPoint pt;
+  pt.z.assign(n, 0);
+  pt.chosen.reserve(num_mu);
+  double best = EvaluateLagrangian(mu_, mu_sum_, lambda_, forced_, &pt);
+  run.iterations = 1;
+  std::vector<double> xbar(num_mu, 0.0), zbar(n), dir(num_mu);
+  for (int32_t m : pt.chosen) xbar[m] = 1.0;
+  for (int a = 0; a < n; ++a) zbar[a] = pt.z[a];
+  double sbar = pt.storage;
+  std::vector<double> trial(num_mu), trial_sum(n);
+  std::vector<uint8_t> x_now(num_mu, 0);
 
-  if (!std::isfinite(upper_bound)) {
-    upper_bound = std::abs(p_->constant_cost) + 1.0;
-  }
+  const double ub = stop.upper_bound;
+  const double scale = std::max(1e-12, std::abs(ub));
+  const bool has_target = std::isfinite(ub) && stop.proof_gap >= 0;
+  const bool give_up = has_target && stop.give_up_gap >= 0;
+  const double needed = ub - stop.proof_gap * scale;  // bound that proves
+  const double acceptable = ub - stop.give_up_gap * scale;
+  double step_factor = kVolumeStepInit;
+  double alpha_max = kVolumeAlphaInit;
+  int red_streak = 0;
+  double window_start = best;
 
-  for (int it = 0; it < iterations; ++it) {
-    // z subproblem: open index a iff its reduced coefficient is negative.
-    double value = p_->constant_cost;
-    if (budgeted) value -= lambda_;  // λ · (normalized budget of 1)
-    double storage_sel = 0.0;  // in normalized (budget) units
-    for (int a = 0; a < p_->num_indexes; ++a) {
-      const double coef = p_->fixed_cost[a] +
-                          (budgeted ? lambda_ * sigma_[a] : 0.0) - mu_sum_[a];
-      z[a] = coef < 0 ? 1 : 0;
-      if (z[a]) {
-        value += coef;
-        storage_sel += sigma_[a];
+  for (int it = 1; it < iterations && best < kInf; ++it) {
+    if (has_target && best >= needed) break;
+    if (it % kVolumeWindow == 0) {
+      const double gain = best - window_start;
+      if (gain < 0.01 * std::max(1e-12, std::abs(best))) {
+        alpha_max = std::max(kVolumeAlphaMin, alpha_max / 2);
       }
+      // Give up once even the last window's gain, repeated for every
+      // window left, cannot reach the next level.
+      const double level = best >= acceptable ? needed : acceptable;
+      if (give_up && best + gain * (iterations - it) / kVolumeWindow < level) {
+        break;
+      }
+      window_start = best;
     }
 
-    // x subproblem: per query, the μ-priced min plan. Mark chosen
-    // (query, index) pairs in x.
-    std::fill(x.begin(), x.end(), 0);
-    size_t e = 0;
-    for (const ChoiceQuery& query : p_->queries) {
-      double qbest = kInf;
-      int best_plan = -1;
-      std::vector<std::pair<double, std::vector<int32_t>>> plan_costs;
-      plan_costs.reserve(query.plans.size());
-      for (const ChoicePlan& plan : query.plans) {
-        double c = query.weight * plan.beta;
-        bool ok = true;
-        std::vector<int32_t> chosen;
-        for (const ChoiceSlot& slot : plan.slots) {
-          double g = kInf;
-          int32_t g_mu = -1;
-          for (const ChoiceOption& o : slot.options) {
-            double price;
-            int32_t mu_idx = -1;
-            if (o.index == kBaseOption) {
-              price = query.weight * o.gamma;
-            } else {
-              mu_idx = entry_mu_idx_[e];
-              price = query.weight * o.gamma + mu_[mu_idx];
-              ++e;
-            }
-            if (price < g) {
-              g = price;
-              g_mu = mu_idx;
-            }
-          }
-          if (g == kInf) {
-            ok = false;
-          } else {
-            if (g_mu >= 0) chosen.push_back(g_mu);
-            c += g;
-          }
-        }
-        if (!ok) c = kInf;
-        plan_costs.push_back({c, std::move(chosen)});
-      }
-      for (int k = 0; k < static_cast<int>(plan_costs.size()); ++k) {
-        if (plan_costs[k].first < qbest) {
-          qbest = plan_costs[k].first;
-          best_plan = k;
-        }
-      }
-      COPHY_CHECK(best_plan >= 0);
-      value += qbest;
-      for (int32_t id : plan_costs[best_plan].second) x[id] = 1;
-    }
-    COPHY_CHECK_EQ(e, entry_mu_idx_.size());
-
-    if (value > best + 1e-9) {
-      best = value;
-      best_mu = mu_;
-      best_mu_sum = mu_sum_;
-      best_lambda = lambda_;
-      stall = 0;
-    } else if (++stall >= 4) {
-      alpha *= 0.6;
-      stall = 0;
-      if (alpha < 1e-5) break;
-    }
-
-    // Polyak subgradient step on g_{q,a} = x_{q,a} - z_a and
-    // g_λ = Σ size·z - M.
+    // Direction: the dualized rows' violation at the primal average,
+    // projected so multipliers at zero are not pushed negative.
     double norm2 = 0.0;
     for (size_t m = 0; m < num_mu; ++m) {
-      const double g = x[m] - z[mu_owner_index_[m]];
-      norm2 += g * g;
+      double d = xbar[m] - zbar[mu_owner_index_[m]];
+      if (d < 0 && mu_[m] <= 0) d = 0;
+      dir[m] = d;
+      norm2 += d * d;
     }
-    double g_lambda = 0.0;
+    double dir_lambda = 0.0;
     if (budgeted) {
-      g_lambda = storage_sel - 1.0;  // normalized budget units
-      norm2 += g_lambda * g_lambda;
+      dir_lambda = sbar - 1.0;  // normalized budget units
+      if (dir_lambda < 0 && lambda_ <= 0) dir_lambda = 0;
+      norm2 += dir_lambda * dir_lambda;
     }
-    if (norm2 < 1e-12) break;  // inner solution is primal feasible
-    const double step = alpha * std::max(1e-9, upper_bound - value) / norm2;
+    if (norm2 < 1e-12) break;  // the average satisfies the dualized rows
+    const double step =
+        step_factor * std::max(1e-9 * scale, ub - best) / norm2;
 
+    std::fill(trial_sum.begin(), trial_sum.end(), 0.0);
+    for (size_t m = 0; m < num_mu; ++m) {
+      trial[m] = std::max(0.0, mu_[m] + step * dir[m]);
+      trial_sum[mu_owner_index_[m]] += trial[m];
+    }
+    const double trial_lambda =
+        budgeted ? std::max(0.0, lambda_ + step * dir_lambda) : 0.0;
+    const double value =
+        EvaluateLagrangian(trial, trial_sum, trial_lambda, forced_, &pt);
+    ++run.iterations;
+
+    // α minimizes |α g + (1 - α) v|, g the new subgradient and v the
+    // average's; green/yellow reads g · dir (does the step direction
+    // still ascend at the trial point?).
+    for (int32_t m : pt.chosen) x_now[m] = 1;
+    double gg = 0.0, gv = 0.0, vv = 0.0, g_dir = 0.0;
     for (size_t m = 0; m < num_mu; ++m) {
       const int a = mu_owner_index_[m];
-      const double g = x[m] - z[a];
-      if (g == 0.0) continue;
-      const double old = mu_[m];
-      mu_[m] = std::max(0.0, old + step * g);
-      mu_sum_[a] += mu_[m] - old;
+      const double g = static_cast<double>(x_now[m]) - pt.z[a];
+      const double v = xbar[m] - zbar[a];
+      gg += g * g;
+      gv += g * v;
+      vv += v * v;
+      g_dir += g * dir[m];
     }
-    if (budgeted) lambda_ = std::max(0.0, lambda_ + step * g_lambda);
-  }
+    if (budgeted) {
+      const double g = pt.storage - 1.0, v = sbar - 1.0;
+      gg += g * g;
+      gv += g * v;
+      vv += v * v;
+      g_dir += g * dir_lambda;
+    }
+    const double denom = gg - 2 * gv + vv;
+    double alpha = alpha_max;
+    if (denom > 1e-12) {
+      alpha = std::clamp((vv - gv) / denom, alpha_max / 10, alpha_max);
+    }
+    for (size_t m = 0; m < num_mu; ++m) {
+      xbar[m] += alpha * (static_cast<double>(x_now[m]) - xbar[m]);
+    }
+    for (int32_t m : pt.chosen) x_now[m] = 0;
+    for (int a = 0; a < n; ++a) zbar[a] += alpha * (pt.z[a] - zbar[a]);
+    sbar += alpha * (pt.storage - sbar);
 
-  if (!best_mu.empty()) {
-    mu_ = std::move(best_mu);
-    mu_sum_ = std::move(best_mu_sum);
-    lambda_ = best_lambda;
-  }
-  mu_ready_ = true;
-  // Subsequent calls continue the subgradient from the best multipliers
-  // (the mid-search refreshes with a tightened upper bound).
-  mu_seeded_ = true;
-  if (std::isfinite(best) && best >= lag_bound_) {
-    // Snapshot the z-subproblem reduced coefficients at the best
-    // multipliers for Lagrangian reduced-cost fixing (bound and
-    // coefficients must come from the same multipliers).
-    lag_bound_ = best;
-    lag_coef_.resize(p_->num_indexes);
-    for (int a = 0; a < p_->num_indexes; ++a) {
-      lag_coef_[a] = p_->fixed_cost[a] +
-                     (budgeted ? lambda_ * sigma_[a] : 0.0) - mu_sum_[a];
+    if (value > best) {
+      if (g_dir >= 0) {
+        step_factor = std::min(kVolumeStepMax, step_factor * kVolumeGreenGrowth);
+      }
+      mu_.swap(trial);
+      mu_sum_.swap(trial_sum);
+      lambda_ = trial_lambda;
+      best = value;
+      red_streak = 0;
+    } else if (++red_streak >= kVolumeRedStreak) {
+      step_factor = std::max(kVolumeStepMin, step_factor * kVolumeRedShrink);
+      red_streak = 0;
     }
   }
-  return best;
+  run.bound = best;
+  zbar_.swap(zbar);
+  if (std::isfinite(best) && best >= lag_bound_) {
+    // Snapshot the z-subproblem coefficients at the best multipliers
+    // for Lagrangian reduced-cost fixing (bound and coefficients must
+    // come from the same multipliers).
+    lag_bound_ = best;
+    lag_coef_.resize(n);
+    for (int a = 0; a < n; ++a) {
+      lag_coef_[a] =
+          p_->fixed_cost[a] + (budgeted ? lambda_ * sigma_[a] : 0.0) - mu_sum_[a];
+    }
+  }
+  return run;
+}
+
+bool ChoiceSolver::RoundDualPrimal(std::vector<uint8_t>& out) const {
+  // Open the indexes the average opens at least half the time, most
+  // open first, while they fit the budget; the greedy dive fills and
+  // polishes around them.
+  std::vector<int> order;
+  for (int a = 0; a < p_->num_indexes; ++a) {
+    if (zbar_[a] >= 0.5 && root_fix_[a] == -1) order.push_back(a);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int a, int b) { return zbar_[a] > zbar_[b]; });
+  std::vector<int8_t> fixed = root_fix_;
+  double used = 0.0;
+  for (int a = 0; a < p_->num_indexes; ++a) {
+    if (fixed[a] == 1) used += p_->size[a];
+  }
+  for (int a : order) {
+    if (used + p_->size[a] > p_->storage_budget) continue;
+    fixed[a] = 1;
+    used += p_->size[a];
+  }
+  return GreedyIncumbent(fixed, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -1295,19 +1377,22 @@ ChoiceSolution ChoiceSolver::Solve(const ChoiceSolveOptions& options) {
   if (!result.status.ok()) return result;
 
   const int n = p_->num_indexes;
-  root_fix_.assign(n, -1);
+  root_fix_ = forced_;
   rc_status_.clear();
   rc_d_.clear();
   root_lp_bound_ = -kInf;
   lag_coef_.clear();
   lag_bound_ = -kInf;
   mu_ready_ = false;
-  mu_seeded_ = false;
+  zbar_.clear();
+  RootBoundStats& rb = result.root_bound;
+  rb.mode = options.root_lp;
+  rb.gate_gap = options.gap_target;
 
-  // Delta re-solve: continue the Lagrangian dual from the previous
-  // solve's multipliers. Valid for any re-weighted problem (every
-  // μ >= 0, λ >= 0 prices a true lower bound); a later successful root
-  // LP overwrites the seed with the exact new duals.
+  // Delta re-solve: start the dual from the previous solve's
+  // multipliers. Valid for any re-weighted problem (every μ >= 0,
+  // λ >= 0 prices a true lower bound); a later successful root LP
+  // overwrites the seed with the exact new duals.
   if (options.mu_seed != nullptr &&
       options.mu_seed->size() == mu_owner_index_.size()) {
     mu_ = *options.mu_seed;
@@ -1319,7 +1404,6 @@ ChoiceSolution ChoiceSolver::Solve(const ChoiceSolveOptions& options) {
     lambda_ = std::max(0.0, options.lambda_seed);
     EnsureSigma();
     mu_ready_ = true;
-    mu_seeded_ = true;
   }
 
   bool has_incumbent = false;
@@ -1342,6 +1426,11 @@ ChoiceSolution ChoiceSolver::Solve(const ChoiceSolveOptions& options) {
     }
     return false;
   };
+  auto gap_of = [&](double bound) {
+    if (!has_incumbent || !std::isfinite(bound)) return kInf;
+    return std::max(0.0, (incumbent_obj - bound) /
+                             std::max(1e-12, std::abs(incumbent_obj)));
+  };
 
   if (!options.warm_start.empty() &&
       static_cast<int>(options.warm_start.size()) == n) {
@@ -1354,57 +1443,57 @@ ChoiceSolution ChoiceSolver::Solve(const ChoiceSolveOptions& options) {
   }
 
   // Root LP relaxation: exact LP bound, dual-seeded multipliers, and
-  // the reduced-cost data the fixing hook above consumes.
-  int64_t bound_evals = 0;
-  if (options.root_lp) {
+  // the reduced-cost data the fixing hook above consumes. True when it
+  // produced a certified bound.
+  auto run_root_lp = [&]() {
     Model model;
     RootLpLayout layout;
-    if (BuildRootLp(&model, &layout, options.root_lp_max_rows)) {
-      result.root_lp_rows = model.num_rows();
-      // A retained basis from a previous retune round (delta re-tuning
-      // in core/session.cc) stays dual feasible under the perturbed
-      // objective/bounds — enter through the dual simplex and skip
-      // primal phase 1; a fresh solve takes the primal phases.
-      LpOptions lp_options;
-      if (options.root_basis_seed != nullptr &&
-          !options.root_basis_seed->empty()) {
-        lp_options.entry = SimplexEntry::kDual;
-      }
-      LpSolution lp = SolveLp(model, lp_options, nullptr, nullptr,
-                              options.root_basis_seed);
-      if (lp.status.ok() && !lp.stats.certified) {
-        // The bound, the seeded multipliers, and reduced-cost fixing
-        // all cut the search permanently, so an uncertified root
-        // solution gets one escalated re-solve: cold, primal entry,
-        // fresh safeguard headroom.
-        LpOptions retry;  // primal entry, no warm basis
-        LpSolution again = SolveLp(model, retry, nullptr, nullptr, nullptr);
-        if (again.status.ok()) lp = std::move(again);
-      }
-      result.root_lp_stats = lp.stats;
-      if (lp.status.ok() && lp.stats.certified) {
-        root_lp_bound_ = lp.objective;
-        result.root_lp_bound = lp.objective;
-        result.root_basis = lp.basis;
-        rc_status_.assign(lp.basis.variables.begin(),
-                          lp.basis.variables.begin() + n);
-        rc_d_.assign(lp.reduced_costs.begin(), lp.reduced_costs.begin() + n);
-        SeedLagrangianFromDuals(lp, layout);
-        if (options.reduced_cost_fixing && has_incumbent) {
-          result.variables_fixed += ApplyReducedCostFixing(incumbent_obj);
-        }
-      }
-      // A non-OK LP (including an "infeasible" verdict, which on badly
-      // scaled instances can be a phase-1 tolerance artifact) or one
-      // that failed certification twice just forfeits the LP bound:
-      // the combinatorial search and the Lagrangian dual remain the
-      // authority, and a verified-feasible incumbent must never be
-      // discarded on an unverified LP's word.
+    if (!BuildRootLp(&model, &layout, options.root_lp_max_rows)) return false;
+    result.root_lp_rows = model.num_rows();
+    // A retained basis from a previous retune round (delta re-tuning
+    // in core/session.cc) stays dual feasible under the perturbed
+    // objective/bounds — enter through the dual simplex and skip
+    // primal phase 1; a fresh solve takes the primal phases.
+    LpOptions lp_options;
+    if (options.root_basis_seed != nullptr &&
+        !options.root_basis_seed->empty()) {
+      lp_options.entry = SimplexEntry::kDual;
     }
-  }
+    LpSolution lp = SolveLp(model, lp_options, nullptr, nullptr,
+                            options.root_basis_seed);
+    if (lp.status.ok() && !lp.stats.certified) {
+      // The bound, the seeded multipliers, and reduced-cost fixing
+      // all cut the search permanently, so an uncertified root
+      // solution gets one escalated re-solve: cold, primal entry,
+      // fresh safeguard headroom.
+      LpOptions retry;  // primal entry, no warm basis
+      LpSolution again = SolveLp(model, retry, nullptr, nullptr, nullptr);
+      if (again.status.ok()) lp = std::move(again);
+    }
+    result.root_lp_stats = lp.stats;
+    // A non-OK LP (including an "infeasible" verdict, which on badly
+    // scaled instances can be a phase-1 tolerance artifact) or one that
+    // failed certification twice just forfeits the LP bound: the
+    // combinatorial search and the Lagrangian dual remain the
+    // authority, and a verified-feasible incumbent must never be
+    // discarded on an unverified LP's word.
+    if (!lp.status.ok() || !lp.stats.certified) return false;
+    root_lp_bound_ = lp.objective;
+    result.root_lp_bound = lp.objective;
+    result.root_basis = lp.basis;
+    rc_status_.assign(lp.basis.variables.begin(),
+                      lp.basis.variables.begin() + n);
+    rc_d_.assign(lp.reduced_costs.begin(), lp.reduced_costs.begin() + n);
+    SeedLagrangianFromDuals(lp, layout);
+    if (options.reduced_cost_fixing && has_incumbent) {
+      result.variables_fixed += ApplyReducedCostFixing(incumbent_obj);
+    }
+    return true;
+  };
 
   // Closes the solve when the root state (after reduced-cost fixing)
   // admits no completion that could beat the incumbent.
+  int64_t bound_evals = 0;
   auto proven_at_root = [&]() {
     result.bound_evaluations = bound_evals;
     if (has_incumbent) {
@@ -1424,33 +1513,81 @@ ChoiceSolution ChoiceSolver::Solve(const ChoiceSolveOptions& options) {
     return result;
   };
 
+  // The root bound, in order: the LP first when it always runs (or
+  // when there is no incumbent for the dual to prove a gap against),
+  // then the volume dual — one evaluation at LP duals, which are
+  // already optimal for it — and then the gate: under kWhenUnproven
+  // the LP runs only if the dual does not prove gap_target. The dual
+  // aims at 0.9 × gap_target, so the search starts with some margin.
+  const bool lp_first =
+      options.root_lp == RootLpMode::kAlways ||
+      (options.root_lp == RootLpMode::kWhenUnproven && !has_incumbent);
+  const bool lp_seeded = lp_first && run_root_lp();
+  rb.lp_escalated = lp_first && options.root_lp == RootLpMode::kWhenUnproven;
+
   std::vector<double> scores;
   double root_plain = NodeBound(root_fix_, &scores);
   ++bound_evals;
   if (root_plain == kInf || !ConstraintsAdmissible(root_fix_)) {
     return proven_at_root();
   }
+  const int64_t fixed_before = result.variables_fixed;
   double root_lagr = -kInf;
-  double lagr_refresh_ub = kInf;  // incumbent at the last dual (re)solve
   if (options.lagrangian) {
-    const int64_t fixed_before = result.variables_fixed;
-    root_lagr = OptimizeLagrangian(
-        has_incumbent ? incumbent_obj : root_plain * 2 + 1,
-        options.lagrangian_iterations);
-    result.root_lagrangian_bound = root_lagr;
-    if (has_incumbent) lagr_refresh_ub = incumbent_obj;
-    // The optimized multipliers may immediately prove variables out; if
-    // they did, the root bound and branching scores must reflect the
-    // new fixings.
-    if (options.reduced_cost_fixing && has_incumbent) {
-      result.variables_fixed += ApplyReducedCostFixing(incumbent_obj);
+    DualStop stop;
+    stop.upper_bound = has_incumbent ? incumbent_obj : root_plain * 2 + 1;
+    if (!std::isfinite(stop.upper_bound)) {
+      stop.upper_bound = std::abs(p_->constant_cost) + 1.0;
     }
-    if (result.variables_fixed != fixed_before) {
-      root_plain = NodeBound(root_fix_, &scores);
-      ++bound_evals;
-      if (root_plain == kInf || !ConstraintsAdmissible(root_fix_)) {
-        return proven_at_root();
+    if (has_incumbent) stop.proof_gap = 0.9 * options.gap_target;
+    if (options.root_lp == RootLpMode::kWhenUnproven) {
+      stop.give_up_gap = options.gap_target;
+    }
+    const DualRun run =
+        OptimizeLagrangian(stop, lp_seeded ? 1 : options.lagrangian_iterations);
+    root_lagr = run.bound;
+    rb.dual_iterations = run.iterations;
+  }
+  if (has_incumbent && gap_of(root_lagr) > options.gap_target &&
+      !zbar_.empty()) {
+    // The bound may be fine and the incumbent the weak side: try the
+    // dual's rounded primal before paying for the LP.
+    std::vector<uint8_t> rounded;
+    if (RoundDualPrimal(rounded)) offer(rounded);
+  }
+  rb.dual_gap = gap_of(root_lagr);
+  rb.dual_proven = rb.dual_gap <= options.gap_target;
+  if (options.root_lp == RootLpMode::kWhenUnproven && !lp_first &&
+      !rb.dual_proven) {
+    rb.lp_escalated = true;
+    // The LP duals replace the volume multipliers unless the dual
+    // (which also honours the forced z) is tighter at its own point.
+    const std::vector<double> dual_mu = mu_, dual_mu_sum = mu_sum_;
+    const double dual_lambda = lambda_;
+    const bool had_dual = std::isfinite(root_lagr);
+    if (run_root_lp() && options.lagrangian) {
+      const double at_duals =
+          OptimizeLagrangian(DualStop{}, /*iterations=*/1).bound;
+      if (had_dual && at_duals < root_lagr) {
+        mu_ = dual_mu;
+        mu_sum_ = dual_mu_sum;
+        lambda_ = dual_lambda;
+      } else {
+        root_lagr = at_duals;
       }
+    }
+  }
+  result.root_lagrangian_bound = root_lagr;
+  // The multipliers may immediately prove variables out; if they did,
+  // the root bound and branching scores must reflect the new fixings.
+  if (options.reduced_cost_fixing && has_incumbent) {
+    result.variables_fixed += ApplyReducedCostFixing(incumbent_obj);
+  }
+  if (result.variables_fixed != fixed_before) {
+    root_plain = NodeBound(root_fix_, &scores);
+    ++bound_evals;
+    if (root_plain == kInf || !ConstraintsAdmissible(root_fix_)) {
+      return proven_at_root();
     }
   }
   struct Node {
@@ -1573,25 +1710,6 @@ ChoiceSolution ChoiceSolver::Solve(const ChoiceSolveOptions& options) {
       child.fixes = node.fixes;
       child.fixes.push_back({node.branch, val});
       open.push(std::move(child));
-    }
-
-    // Re-optimize the dual whenever the incumbent improved materially
-    // since the last (re)solve: the tighter Polyak target lifts the
-    // proven bound, and the refreshed coefficients may fix more
-    // variables for the rest of the search.
-    if (options.lagrangian && has_incumbent &&
-        lagr_refresh_ub - incumbent_obj >
-            0.02 * std::max(1.0, std::abs(incumbent_obj))) {
-      root_lagr = std::max(
-          root_lagr,
-          OptimizeLagrangian(incumbent_obj,
-                             options.lagrangian_iterations / 2 + 1));
-      result.root_lagrangian_bound =
-          std::max(result.root_lagrangian_bound, root_lagr);
-      lagr_refresh_ub = incumbent_obj;
-      if (options.reduced_cost_fixing) {
-        result.variables_fixed += ApplyReducedCostFixing(incumbent_obj);
-      }
     }
 
     if ((result.nodes & 0xff) == 0) {

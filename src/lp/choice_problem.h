@@ -9,9 +9,11 @@
 // linear z-constraints). The solver below is a best-first
 // branch-and-bound on the z variables whose node bounds combine an
 // optimistic-completion bound with a Lagrangian-relaxation bound
-// (subgradient on the linking constraints — the paper's relax(B) step),
+// (on the linking and storage constraints — the paper's relax(B) step),
 // and which exposes anytime incumbents, gap feedback, early
-// termination, and warm starts.
+// termination, and warm starts. The root bound comes from the volume
+// algorithm on the Lagrangian dual; the root LP runs only when that
+// cannot prove the gap (RootLpMode).
 #ifndef COPHY_LP_CHOICE_PROBLEM_H_
 #define COPHY_LP_CHOICE_PROBLEM_H_
 
@@ -94,8 +96,24 @@ struct ChoiceProblem {
   int64_t NumOptionEntries() const;
 };
 
+/// When the solver runs the root LP relaxation.
+///  kOff          never: the Lagrangian dual is the only root bound.
+///  kWhenUnproven the default: the volume algorithm first; the LP runs
+///                only when the dual cannot prove the gap gate below.
+///  kAlways       always, before the dual (the pre-volume behaviour; LP
+///                tests and the bound ablation use it).
+enum class RootLpMode { kOff, kWhenUnproven, kAlways };
+
 /// Solve options (mirrors MipOptions; defaults match the paper's
 /// experimental setup: stop at the first solution within 5% of optimal).
+///
+/// The root, in order: the greedy incumbent (and `warm_start`); the
+/// volume algorithm on the Lagrangian dual, started from `mu_seed` /
+/// `lambda_seed` when given, which stops once its bound proves
+/// 0.9 × gap_target against the incumbent, when `lagrangian_iterations`
+/// run out, or once its recent progress shows the proof is out of
+/// reach; then the gate — under kWhenUnproven the root LP runs only if
+/// the dual bound does not prove gap_target, and its duals re-seed μ/λ.
 struct ChoiceSolveOptions {
   double gap_target = 0.05;
   double time_limit_seconds = kInf;
@@ -106,17 +124,18 @@ struct ChoiceSolveOptions {
   std::vector<uint8_t> warm_start;
   /// Use the Lagrangian-relaxation root bound (ablation knob).
   bool lagrangian = true;
-  int lagrangian_iterations = 300;
+  /// Iteration cap of the volume algorithm at the root.
+  int lagrangian_iterations = 1500;
   /// Presolve the problem before solving. Consumed by
   /// SolveChoiceProblem (lp/presolve.h); ChoiceSolver itself always
   /// solves exactly the problem it was given.
   bool presolve = true;
-  /// Solve the full root LP relaxation with the sparse revised simplex:
-  /// the LP optimum is the tightest bound this relaxation family offers,
-  /// its duals warm-start the Lagrangian multipliers (instead of the
-  /// cold §4.1 subgradient schedule), and its reduced costs drive
-  /// variable fixing.
-  bool root_lp = true;
+  /// The full root LP relaxation, solved with the sparse revised
+  /// simplex: its optimum is the tightest bound this relaxation family
+  /// offers, its duals re-seed the Lagrangian multipliers, and its
+  /// reduced costs drive variable fixing. See RootLpMode for when it
+  /// runs.
+  RootLpMode root_lp = RootLpMode::kWhenUnproven;
   /// Skip the root LP above this row count. With the sparse-LU basis
   /// factorization (lp/lu_factor.h) the simplex costs O(factor nnz) per
   /// pivot, so this is a wall-clock guard for pathological instances,
@@ -140,14 +159,27 @@ struct ChoiceSolveOptions {
   uint64_t structure_digest_hint = 0;
   /// Low-level delta-re-solve seeds in the solver's own (possibly
   /// presolve-reduced) space; SolveChoiceProblem fills them from a
-  /// valid resolve state. mu_seed/lambda_seed warm the Lagrangian
-  /// multipliers (any μ >= 0, λ >= 0 is a valid dual point for a
-  /// re-weighted problem, so the subgradient continues instead of
-  /// starting cold); root_basis_seed warm-starts the root LP simplex
-  /// (silently ignored when structurally incompatible).
+  /// valid resolve state. mu_seed/lambda_seed start the volume
+  /// algorithm (any μ >= 0, λ >= 0 is a valid dual point for a
+  /// re-weighted problem, so the dual continues instead of starting
+  /// cold); root_basis_seed warm-starts the root LP simplex (silently
+  /// ignored when structurally incompatible).
   const std::vector<double>* mu_seed = nullptr;
   double lambda_seed = 0.0;
   const LpBasis* root_basis_seed = nullptr;
+};
+
+/// How a solve bounded its root: the volume algorithm's work and the
+/// gate's verdict.
+struct RootBoundStats {
+  RootLpMode mode = RootLpMode::kWhenUnproven;
+  int64_t dual_iterations = 0;  ///< volume iterations at the root
+  /// The gap the dual proved against the incumbent when it stopped
+  /// (kInf: no incumbent or no dual), and the gate's limit (gap_target).
+  double dual_gap = kInf;
+  double gate_gap = 0.0;
+  bool dual_proven = false;  ///< dual_gap <= gate_gap: the LP is not needed
+  bool lp_escalated = false; ///< kWhenUnproven ran the LP
 };
 
 /// Solve result.
@@ -167,10 +199,15 @@ struct ChoiceSolution {
   /// (refactorizations, eta fill, drift, FTRAN/BTRAN time).
   LpSolveStats root_lp_stats;
   int64_t variables_fixed = 0;   ///< z fixed 0/1 by reduced costs
+  RootBoundStats root_bound;
   /// Exit state for delta re-solves (solver space): the Lagrangian
   /// multipliers/storage dual at return and the root-LP basis (empty
   /// when the LP was skipped). SolveChoiceProblem copies these into the
-  /// caller's ChoiceResolveState.
+  /// caller's ChoiceResolveState. They are the certificate of
+  /// root_lagrangian_bound, which equals L(mu_exit, lambda_exit): μ is
+  /// indexed by (query, index) pair in first-touch order (queries in
+  /// order; within a query, plans, slots and options in order), and λ
+  /// is in normalized budget units (it prices size / max(1, budget)).
   std::vector<double> mu_exit;
   double lambda_exit = 0.0;
   LpBasis root_basis;
@@ -199,17 +236,11 @@ class ChoiceSolver {
   double DebugLagrangianBound(const std::vector<int8_t>& fixed) const {
     return LagrangianNodeBound(fixed);
   }
-  /// Runs the root dual optimization (test hook).
+  /// Runs the root dual optimization with no stopping target (test
+  /// hook); returns the best dual bound.
   double DebugOptimizeLagrangian(double upper_bound, int iterations) {
-    return OptimizeLagrangian(upper_bound, iterations);
+    return OptimizeLagrangian({upper_bound, -1.0, -1.0}, iterations).bound;
   }
-  const std::vector<double>& DebugMu() const { return mu_; }
-  const std::vector<double>& DebugMuSum() const { return mu_sum_; }
-  const std::vector<int32_t>& DebugMuOwnerIndex() const {
-    return mu_owner_index_;
-  }
-  const std::vector<int32_t>& DebugEntryMuIdx() const { return entry_mu_idx_; }
-  double DebugLambda() const { return lambda_; }
 
   /// Test hook: materializes the root LP relaxation (z variables first)
   /// and returns its row count, or -1 when the estimate exceeds
@@ -220,8 +251,6 @@ class ChoiceSolver {
   }
 
  private:
-  struct NodeState;
-
   /// Bookkeeping of the root LP's rows: which row carries each μ slot's
   /// aggregated link constraint (its dual is that multiplier's seed) and
   /// where the storage row landed (for the λ seed). -1: no row (the μ
@@ -230,21 +259,56 @@ class ChoiceSolver {
     int storage_row = -1;
     std::vector<int32_t> mu_link_row;
   };
+  /// When OptimizeLagrangian stops early: once its bound proves
+  /// `proof_gap` against `upper_bound` (proof_gap < 0: never), and, with
+  /// give_up_gap >= 0, once its recent progress cannot reach the next
+  /// level in the iterations left — give_up_gap while that is unproven,
+  /// then proof_gap. `upper_bound` also sets the step length.
+  struct DualStop {
+    double upper_bound = kInf;
+    double proof_gap = -1.0;
+    double give_up_gap = -1.0;
+  };
+  struct DualRun {
+    double bound = -kInf;   ///< L at the best multipliers (now mu_/lambda_)
+    int64_t iterations = 0; ///< evaluations of L, the first included
+  };
+  /// A minimizer of the Lagrangian subproblem: the μ slots whose
+  /// aggregated x_{q,a} is 1, the z choice, and its storage Σ σ_a z_a.
+  struct LagrangianPoint {
+    std::vector<int32_t> chosen;
+    std::vector<uint8_t> z;
+    double storage = 0.0;
+  };
 
-  /// Optimistic completion bound for the current fixings (optionally
-  /// priced with the Lagrangian multipliers). Also gathers branching
-  /// scores.
+  /// Optimistic completion bound for the current fixings. Also gathers
+  /// branching scores.
   double NodeBound(const std::vector<int8_t>& fixed,
                    std::vector<double>* branch_score) const;
+  /// The one Lagrangian evaluator, shared by the root dual and the node
+  /// bounds: L(μ, λ) with options of excluded indexes (fixed == 0)
+  /// unavailable and fixed z priced at their value; kInf when a query
+  /// has no plan left. `mu_sum[a]` must be Σ_q μ_{q,a}. With `point`,
+  /// also records the minimizer (into its reserved buffers).
+  double EvaluateLagrangian(const std::vector<double>& mu,
+                            const std::vector<double>& mu_sum, double lambda,
+                            const std::vector<int8_t>& fixed,
+                            LagrangianPoint* point) const;
+  /// L at the current multipliers (-inf before any are set).
   double LagrangianNodeBound(const std::vector<int8_t>& fixed) const;
   /// Greedy benefit/size dive producing a feasible incumbent; returns
   /// false if no feasible completion was found.
   bool GreedyIncumbent(const std::vector<int8_t>& fixed,
                        std::vector<uint8_t>& out) const;
-  /// Subgradient optimization of the Lagrangian dual at the root;
-  /// fills mu_/lambda_ and returns the best dual bound. Starts from the
-  /// LP-dual seed when SeedLagrangianFromDuals ran, else from zero.
-  double OptimizeLagrangian(double upper_bound, int iterations);
+  /// Volume algorithm (Barahona & Anbil 2000) on the Lagrangian dual at
+  /// the root, under the forced z of forced_: starts from mu_/lambda_
+  /// when set (resolve seed or LP duals), else from zero, and leaves the
+  /// best multipliers there. `iterations` caps the evaluations of L; 1
+  /// just evaluates the current multipliers.
+  DualRun OptimizeLagrangian(const DualStop& stop, int iterations);
+  /// Lagrangian heuristic: rounds the last dual run's primal average z̄
+  /// into a selection and completes it with the greedy dive.
+  bool RoundDualPrimal(std::vector<uint8_t>& out) const;
   /// Interval-based constraint pruning. Returns false if the fixings
   /// already violate a constraint.
   bool ConstraintsAdmissible(const std::vector<int8_t>& fixed) const;
@@ -299,16 +363,27 @@ class ChoiceSolver {
   std::vector<int32_t> zrow_idx_;
   std::vector<double> zrow_coef_;
 
+  // Flat copy of the option structure for the Lagrangian evaluator,
+  // in canonical (query, plan, slot, option) order: slot slot_id owns
+  // options opt_start_[slot_id] .. opt_start_[slot_id + 1]; each option
+  // carries its weighted γ and its μ slot (-1: the base option); each
+  // plan its weighted β.
+  std::vector<double> plan_wbeta_;
+  std::vector<int32_t> opt_start_;
+  std::vector<double> opt_wgamma_;
+  std::vector<int32_t> opt_mu_;
+  // z values forced by single-index equality rows (DBA accept/veto
+  // verdicts), -1 elsewhere. Every node inherits them through
+  // root_fix_, and the Lagrangian fixes them instead of relaxing the
+  // rows.
+  std::vector<int8_t> forced_;
+
   // Lagrangian state. Multipliers are aggregated per (query, index) —
   // exact for this structure because a query's chosen plan uses an
   // index in at most one slot — which keeps the dual space small and
-  // subgradient components in {-1, 0, +1}.
-  //   entry_mu_idx_[e]  μ-slot of the e-th non-base option in canonical
-  //                     (query, plan, slot, option) iteration order
-  //   mu_owner_index_/mu_owner_query_: per μ-slot owners
-  std::vector<int32_t> entry_mu_idx_;
+  // subgradient components in [-1, +1].
+  // mu_owner_index_: per μ-slot owning index.
   std::vector<int32_t> mu_owner_index_;
-  std::vector<int32_t> mu_owner_query_;
   std::vector<double> mu_;
   std::vector<double> mu_sum_;  // per index: Σ_q μ_{q,a}
   // Storage sizes normalized to budget units (σ_a = size_a / M), so the
@@ -316,7 +391,8 @@ class ChoiceSolver {
   std::vector<double> sigma_;
   double lambda_ = 0.0;
   bool mu_ready_ = false;
-  bool mu_seeded_ = false;  ///< μ/λ carry the root LP duals
+  // The last dual run's primal average of z (empty before any run).
+  std::vector<double> zbar_;
 
   // Root-LP state for reduced-cost fixing (valid while rc_status_ is
   // non-empty): per-z basis status and reduced cost at the LP optimum,

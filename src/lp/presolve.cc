@@ -462,16 +462,6 @@ uint64_t ChoiceStructureDigest(const ChoiceProblem& p) {
   return h.state;
 }
 
-uint64_t ChoiceConstraintSideDigest(const ChoiceProblem& p) {
-  StructHasher h;
-  h.MixDouble(p.storage_budget);
-  h.Mix(p.queries.size());
-  for (const ChoiceQuery& q : p.queries) h.MixDouble(q.cost_cap);
-  h.Mix(p.z_rows.size());
-  for (const ZRow& row : p.z_rows) h.MixDouble(row.rhs);
-  return h.state;
-}
-
 PresolvedChoiceProblem ReapplyPresolve(const PresolvedChoiceProblem& prior,
                                        const ChoiceProblem& p) {
   Stopwatch watch;
@@ -559,12 +549,21 @@ ChoiceSolution SolveChoiceProblem(const ChoiceProblem& p,
     if (reuse) ++rs->warm_reuses;
     rs->valid = sol.status.ok();
     if (sol.status.ok()) {
+      // A solve that skipped the root LP keeps the last basis for the
+      // next one that runs it, as long as the structure (and with it
+      // the solver space) is unchanged.
+      const bool same_space = rs->structure_digest == digest &&
+                              rs->presolve_enabled == options.presolve;
+      if (!sol.root_basis.empty()) {
+        rs->root_basis = sol.root_basis;
+      } else if (!same_space) {
+        rs->root_basis = LpBasis{};
+      }
       rs->structure_digest = digest;
       rs->presolve_enabled = options.presolve;
       rs->selected = sol.selected;
       rs->mu = sol.mu_exit;
       rs->lambda = sol.lambda_exit;
-      rs->root_basis = sol.root_basis;
       rs->presolved = pre;
     }
   }

@@ -91,14 +91,6 @@ PresolvedChoiceProblem PresolveChoiceProblem(const ChoiceProblem& p,
 /// on the warm path.
 uint64_t ChoiceStructureDigest(const ChoiceProblem& p);
 
-/// Companion digest of the constraint-side data the structure digest
-/// deliberately ignores: storage budget, per-query cost caps, and z-row
-/// right-hand sides. Callers that want to distinguish "pure
-/// re-weighting" (objective-only delta) from a constraint change
-/// compare both digests — e.g. the session skips the root LP only when
-/// the constraint picture is unchanged too.
-uint64_t ChoiceConstraintSideDigest(const ChoiceProblem& p);
-
 /// Re-applies a previously computed reduction map to a problem with the
 /// same structure digest but possibly different weight-style data: the
 /// reduced problem is copied from `prior` and its weight-dependent
@@ -118,8 +110,9 @@ PresolvedChoiceProblem ReapplyPresolve(const PresolvedChoiceProblem& prior,
 ///    reduction map (ReapplyPresolve) instead of re-scanned;
 ///  * the previous incumbent (original index space), repaired through
 ///    the map into a warm-start offer;
-///  * the previous root-LP basis (warm simplex start) and the exit
-///    Lagrangian multipliers/storage dual (subgradient seed).
+///  * the last root-LP basis (warm simplex start; kept across solves
+///    that skip the LP while the digest holds) and the exit Lagrangian
+///    multipliers/storage dual (volume seed).
 /// On a digest mismatch the solve runs cold; either way the state is
 /// overwritten with the finished solve's data.
 struct ChoiceResolveState {
@@ -129,7 +122,7 @@ struct ChoiceResolveState {
   std::vector<uint8_t> selected;  ///< incumbent, original index space
   std::vector<double> mu;         ///< multipliers at exit (solver space)
   double lambda = 0.0;
-  LpBasis root_basis;             ///< root-LP basis (solver space)
+  LpBasis root_basis;             ///< last root-LP basis (solver space)
   std::shared_ptr<const PresolvedChoiceProblem> presolved;
   int64_t solves = 0;             ///< solves recorded into this state
   int64_t warm_reuses = 0;        ///< solves that accepted the seeds

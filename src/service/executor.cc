@@ -13,7 +13,8 @@ SessionExecutor::SessionExecutor(ThreadPool* pool, int max_queued_per_lane)
 SessionExecutor::~SessionExecutor() { Drain(); }
 
 Status SessionExecutor::Submit(const std::string& lane_name,
-                               std::function<void()> task) {
+                               std::function<void()> task,
+                               std::function<void()> publish) {
   Lane* lane;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -24,7 +25,7 @@ Status SessionExecutor::Submit(const std::string& lane_name,
           StrFormat("lane '%s' full (%d ops in flight)", lane_name.c_str(),
                     lane->inflight));
     }
-    lane->queue.push_back(std::move(task));
+    lane->queue.push_back({std::move(task), std::move(publish)});
     ++lane->inflight;
     ++submitted_;
     if (lane->running) return Status::Ok();
@@ -38,7 +39,7 @@ Status SessionExecutor::Submit(const std::string& lane_name,
 
 void SessionExecutor::Pump(Lane* lane) {
   while (true) {
-    std::function<void()> task;
+    Entry entry;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (lane->queue.empty()) {
@@ -46,15 +47,16 @@ void SessionExecutor::Pump(Lane* lane) {
         drain_cv_.notify_all();
         return;
       }
-      task = std::move(lane->queue.front());
+      entry = std::move(lane->queue.front());
       lane->queue.pop_front();
     }
-    task();
+    entry.task();
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++completed_;
       --lane->inflight;
     }
+    if (entry.publish) entry.publish();
     if (pool_->size() > 1) {
       // Yield the worker between tasks so runnable lanes share the pool
       // fairly; the loop above is only for the no-worker inline case.

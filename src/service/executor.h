@@ -42,8 +42,12 @@ class SessionExecutor {
 
   /// Enqueues `task` on `lane`, creating the lane on first use. Returns
   /// kResourceExhausted (and drops the task) when the lane is full.
-  /// Tasks must not throw.
-  Status Submit(const std::string& lane, std::function<void()> task);
+  /// `publish`, if set, runs right after the task once the lane no
+  /// longer counts it as in flight — hand results to waiters there, so
+  /// a waiter that submits again at once is not bounced by its own
+  /// finished op. Neither may throw.
+  Status Submit(const std::string& lane, std::function<void()> task,
+                std::function<void()> publish = nullptr);
 
   /// Blocks until every lane is empty and idle. Tasks may keep
   /// submitting while a drain waits (it returns once the system is
@@ -57,8 +61,12 @@ class SessionExecutor {
   int64_t rejected() const;
 
  private:
+  struct Entry {
+    std::function<void()> task;
+    std::function<void()> publish;
+  };
   struct Lane {
-    std::deque<std::function<void()>> queue;
+    std::deque<Entry> queue;
     bool running = false;  ///< a Pump for this lane is scheduled/running
     /// Accepted-but-unfinished tasks (queued + executing). This is the
     /// backpressure occupancy — distinct from queue.size() + running,

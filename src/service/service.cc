@@ -42,11 +42,15 @@ std::future<OpResult> AdvisorService::Submit(const std::string& tenant,
                                              ServiceOp op) {
   auto promise = std::make_shared<std::promise<OpResult>>();
   std::future<OpResult> result = promise->get_future();
+  // The op runs into `done`; the promise is kept only once the lane has
+  // released the op, so a client may submit again as soon as it wakes.
+  auto done = std::make_shared<OpResult>();
   AdvisorSession* session = SessionFor(tenant);
   Stopwatch queued;
   const Status submitted = executor_.Submit(
-      tenant, [promise, session, op = std::move(op), queued]() mutable {
-        OpResult r;
+      tenant,
+      [done, session, op = std::move(op), queued]() mutable {
+        OpResult& r = *done;
         r.queue_seconds = queued.Elapsed();
         Stopwatch exec;
         switch (op.kind) {
@@ -82,8 +86,8 @@ std::future<OpResult> AdvisorService::Submit(const std::string& tenant,
             break;
         }
         r.exec_seconds = exec.Elapsed();
-        promise->set_value(std::move(r));
-      });
+      },
+      [promise, done] { promise->set_value(std::move(*done)); });
   if (!submitted.ok()) {
     OpResult r;
     r.status = submitted;

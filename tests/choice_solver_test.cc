@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "common/random.h"
+#include "lagrangian_oracle.h"
 #include "lp/choice_problem.h"
 
 namespace cophy::lp {
@@ -227,6 +228,7 @@ TEST(ChoiceSolverTest, RootLpBoundNeverExceedsOptimum) {
     ChoiceSolveOptions opts;
     opts.gap_target = 0.0;
     opts.node_limit = 200000;
+    opts.root_lp = RootLpMode::kAlways;
     const ChoiceSolution s = solver.Solve(opts);
     ASSERT_TRUE(s.status.ok());
     ASSERT_GT(s.root_lp_rows, 0) << "root LP unexpectedly skipped";
@@ -246,8 +248,9 @@ TEST(ChoiceSolverTest, RootLpAndFixingKnobsPreserveOptimum) {
     ChoiceSolveOptions full;
     full.gap_target = 0.0;
     full.node_limit = 500000;
+    full.root_lp = RootLpMode::kAlways;
     ChoiceSolveOptions bare = full;
-    bare.root_lp = false;
+    bare.root_lp = RootLpMode::kOff;
     bare.reduced_cost_fixing = false;
     bare.lagrangian = false;
     ChoiceSolver s1(&p), s2(&p);
@@ -300,6 +303,7 @@ TEST(ChoiceSolverTest, RootLpBeyondOldFourThousandRowCapSolves) {
   EXPECT_EQ(solver.DebugBuildRootLp(&refused, 4000), -1);  // the old cap
 
   ChoiceSolveOptions opts;  // default root_lp_max_rows admits it
+  opts.root_lp = RootLpMode::kAlways;
   opts.gap_target = 0.05;
   opts.node_limit = 50;
   opts.lagrangian_iterations = 20;
@@ -318,11 +322,127 @@ TEST(ChoiceSolverTest, RootLpRowCapSkipsTheLp) {
   Model m;
   EXPECT_EQ(solver.DebugBuildRootLp(&m, 1), -1);
   ChoiceSolveOptions opts;
+  opts.root_lp = RootLpMode::kAlways;
   opts.root_lp_max_rows = 1;
   const ChoiceSolution s = solver.Solve(opts);
   ASSERT_TRUE(s.status.ok());
   EXPECT_EQ(s.root_lp_rows, 0);
   EXPECT_EQ(s.root_lp_bound, -kInf);
+}
+
+/// Adds a veto (z_a = 0) and an accept (z_b = 1) row, the form DBA
+/// verdicts compile to.
+void AddVerdicts(ChoiceProblem* p, int veto, int accept) {
+  p->z_rows.push_back(ZRow{{{veto, 1.0}}, Sense::kEq, 0.0, "veto"});
+  p->z_rows.push_back(ZRow{{{accept, 1.0}}, Sense::kEq, 1.0, "accept"});
+}
+
+TEST(ChoiceSolverTest, RootLpRunsOnlyWhenTheDualCannotProveTheGap) {
+  // The gate: under kWhenUnproven the LP runs exactly when the volume
+  // dual stopped short of proving gap_target, and kOff never runs it.
+  int skipped = 0, escalated = 0;
+  for (uint64_t seed = 71; seed < 83; ++seed) {
+    const ChoiceProblem p = RandomProblem(seed, 9, 8, true, true);
+    for (const double gap_target : {0.05, 0.0}) {
+      ChoiceSolver solver(&p);
+      ChoiceSolveOptions opts;
+      opts.gap_target = gap_target;
+      const ChoiceSolution s = solver.Solve(opts);
+      ASSERT_TRUE(s.status.ok());
+      const RootBoundStats& rb = s.root_bound;
+      EXPECT_GE(rb.dual_iterations, 1);
+      EXPECT_LE(rb.dual_iterations, opts.lagrangian_iterations);
+      EXPECT_NE(rb.dual_proven, rb.lp_escalated) << "seed " << seed;
+      EXPECT_EQ(s.root_lp_rows > 0, rb.lp_escalated) << "seed " << seed;
+      if (rb.dual_proven) {
+        EXPECT_LE(rb.dual_gap, gap_target);
+        ++skipped;
+      } else {
+        EXPECT_GT(rb.dual_gap, gap_target);
+        ++escalated;
+      }
+      ChoiceSolver off_solver(&p);
+      opts.root_lp = RootLpMode::kOff;
+      const ChoiceSolution off = off_solver.Solve(opts);
+      ASSERT_TRUE(off.status.ok());
+      EXPECT_EQ(off.root_lp_rows, 0);
+      EXPECT_FALSE(off.root_bound.lp_escalated);
+    }
+  }
+  EXPECT_GT(skipped, 0);
+  EXPECT_GT(escalated, 0);
+}
+
+TEST(ChoiceSolverTest, AcceptAndVetoRowsKeepBoundsValid) {
+  // Single-index equality rows fix z in the Lagrangian z-subproblem
+  // (and in every node) instead of being relaxed: every root bound
+  // must stay below the constrained optimum, which the search still
+  // finds exactly.
+  for (uint64_t seed : {91u, 92u, 93u, 94u, 95u, 96u}) {
+    ChoiceProblem p = RandomProblem(seed, 8, 6, true, true);
+    AddVerdicts(&p, static_cast<int>(seed % 8), static_cast<int>((seed + 3) % 8));
+    const double brute = BruteForce(p);
+    if (!std::isfinite(brute)) continue;
+    const double tol = 1e-6 + 1e-6 * std::abs(brute);
+    for (const RootLpMode mode :
+         {RootLpMode::kOff, RootLpMode::kWhenUnproven, RootLpMode::kAlways}) {
+      ChoiceSolver solver(&p);
+      ChoiceSolveOptions opts;
+      opts.gap_target = 0.0;
+      opts.node_limit = 500000;
+      opts.root_lp = mode;
+      const ChoiceSolution s = solver.Solve(opts);
+      ASSERT_TRUE(s.status.ok()) << "seed " << seed;
+      EXPECT_NEAR(s.objective, brute, tol) << "seed " << seed;
+      EXPECT_TRUE(p.Feasible(s.selected));
+      EXPECT_LE(s.root_lagrangian_bound, brute + tol) << "seed " << seed;
+      EXPECT_LE(s.root_lp_bound, brute + tol) << "seed " << seed;
+    }
+  }
+}
+
+TEST(ChoiceSolverTest, LagrangianNeverExceedsRootLpOptimum) {
+  // Weak duality, sampled: for random μ >= 0, λ >= 0 the Lagrangian —
+  // the solver's evaluator (a one-iteration dual at the seed) and the
+  // independent oracle alike — stays at or below the root LP optimum,
+  // also with verdict rows pinning z and a relaxed knapsack z-row.
+  Rng rng(5);
+  int checked = 0;
+  for (uint64_t seed = 61; seed < 67; ++seed) {
+    ChoiceProblem p = RandomProblem(seed, 8, 6, true, true);
+    if (seed % 2 == 0) {
+      AddVerdicts(&p, static_cast<int>(seed % 8), static_cast<int>((seed + 1) % 8));
+      p.z_rows.push_back(ZRow{{{2, 1.0}, {5, 1.0}}, Sense::kLe, 1.0, "pair"});
+    }
+    ChoiceSolver lp_solver(&p);
+    ChoiceSolveOptions lp_opts;
+    lp_opts.root_lp = RootLpMode::kAlways;
+    const ChoiceSolution lp = lp_solver.Solve(lp_opts);
+    if (!lp.status.ok() || !std::isfinite(lp.root_lp_bound)) continue;
+    const double tol = 1e-6 * std::max(1.0, std::abs(lp.root_lp_bound));
+    int num_mu = 0;
+    testing_oracle::MuSlots(p, &num_mu);
+    for (int trial = 0; trial < 25; ++trial) {
+      std::vector<double> mu(num_mu);
+      for (double& m : mu) m = rng.Bernoulli(0.3) ? 0.0 : 300.0 * rng.NextDouble();
+      const double lambda = trial % 3 == 0 ? 0.0 : 500.0 * rng.NextDouble();
+      const double oracle = testing_oracle::Lagrangian(p, mu, lambda);
+      EXPECT_LE(oracle, lp.root_lp_bound + tol) << "seed " << seed;
+
+      ChoiceSolver solver(&p);
+      ChoiceSolveOptions opts;
+      opts.root_lp = RootLpMode::kOff;
+      opts.lagrangian_iterations = 1;
+      opts.mu_seed = &mu;
+      opts.lambda_seed = lambda;
+      const ChoiceSolution at = solver.Solve(opts);
+      ASSERT_TRUE(at.status.ok());
+      EXPECT_NEAR(at.root_lagrangian_bound, oracle,
+                  1e-9 * std::max(1.0, std::abs(oracle)));
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 75);
 }
 
 TEST(ChoiceSolverTest, CallbackEarlyTermination) {

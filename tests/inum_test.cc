@@ -3,6 +3,8 @@
 // Lemma 1 (linear composability) rests on.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "optimizer/simulator.h"
 #include "catalog/catalog.h"
 #include "index/candidates.h"
@@ -173,6 +175,13 @@ struct EquivalenceCase {
   bool system_b = false;
   double density = 0.3;
 };
+
+// Names the case in test listings (the default byte dump would include
+// the struct's uninitialized padding).
+void PrintTo(const EquivalenceCase& c, std::ostream* os) {
+  *os << "zipf" << c.zipf << (c.het ? "_het" : "_hom")
+      << (c.system_b ? "_systemB" : "_systemA") << "_density" << c.density;
+}
 
 class InumEquivalenceTest : public ::testing::TestWithParam<EquivalenceCase> {};
 

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
+#include "lagrangian_oracle.h"
 #include "optimizer/simulator.h"
 #include "catalog/catalog.h"
 #include "core/bipgen.h"
@@ -26,6 +28,13 @@ struct RealProblemCase {
   bool het;
   double zipf;
 };
+
+// Names the case in test listings (the default byte dump would include
+// the struct's uninitialized padding).
+void PrintTo(const RealProblemCase& c, std::ostream* os) {
+  *os << "q" << c.num_queries << "_seed" << c.seed << "_budget"
+      << c.budget_fraction << (c.het ? "_het" : "_hom") << "_zipf" << c.zipf;
+}
 
 class RealProblemBoundTest : public ::testing::TestWithParam<RealProblemCase> {
  protected:
@@ -111,6 +120,43 @@ TEST_P(RealProblemBoundTest, BoundsValidAlongOptimalPath) {
   EXPECT_NEAR(s.objective, best, 1e-6 + 1e-6 * std::abs(best));
 }
 
+TEST_P(RealProblemBoundTest, RootLagrangianBoundMatchesItsCertificate) {
+  // Every reported root Lagrangian bound is L at the exported
+  // (mu_exit, lambda_exit), re-evaluated by an independent walk — under
+  // every root-LP mode, with the LP escalated or not, and with a DBA
+  // veto and accept row pinning z.
+  const lp::ChoiceProblem plain = Build(GetParam());
+  lp::ChoiceProblem judged = plain;
+  judged.z_rows.push_back(lp::ZRow{{{0, 1.0}}, lp::Sense::kEq, 0.0, "veto"});
+  judged.z_rows.push_back(lp::ZRow{{{1, 1.0}}, lp::Sense::kEq, 1.0, "accept"});
+  int checked = 0;
+  const lp::ChoiceProblem* judged_ptr = &judged;
+  for (const lp::ChoiceProblem* p : {&plain, judged_ptr}) {
+    for (const lp::RootLpMode mode :
+         {lp::RootLpMode::kOff, lp::RootLpMode::kWhenUnproven,
+          lp::RootLpMode::kAlways}) {
+      for (const double gap_target : {0.05, 0.0}) {
+        lp::ChoiceSolver solver(p);
+        lp::ChoiceSolveOptions so;
+        so.root_lp = mode;
+        so.gap_target = gap_target;
+        const lp::ChoiceSolution s = solver.Solve(so);
+        if (!s.status.ok() || !std::isfinite(s.root_lagrangian_bound)) continue;
+        const double again =
+            testing_oracle::Lagrangian(*p, s.mu_exit, s.lambda_exit);
+        EXPECT_NEAR(again, s.root_lagrangian_bound,
+                    1e-9 * std::max(1.0, std::abs(again)))
+            << "mode " << static_cast<int>(mode) << " gap " << gap_target
+            << (p == judged_ptr ? " with verdict rows" : "");
+        EXPECT_LE(s.root_lagrangian_bound,
+                  s.objective + 1e-9 * std::abs(s.objective));
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 6);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     RealProblems, RealProblemBoundTest,
     ::testing::Values(RealProblemCase{8, 1, 0.3, false, 0.0},
@@ -123,7 +169,7 @@ INSTANTIATE_TEST_SUITE_P(
                       RealProblemCase{14, 8, 0.35, true, 2.0}));
 
 TEST(LagrangianDualTest, ImprovesWithIterations) {
-  // More subgradient iterations never worsen the (best-kept) dual.
+  // More volume iterations never worsen the (best-kept) dual.
   Catalog cat = MakeTpchCatalog(0.1, 0.0);
   IndexPool pool;
   SystemSimulator sim(&cat, &pool, CostModel::SystemA());

@@ -23,6 +23,7 @@ class ReportTest : public ::testing::Test {
     w_ = MakeHomogeneousWorkload(cat_, o);
     CoPhyOptions opts;
     opts.node_limit = 2000;
+    opts.root_lp = lp::RootLpMode::kAlways;  // the root-LP lines render
     advisor_ = std::make_unique<CoPhy>(sim_.get(), &pool_, w_, opts);
     ASSERT_TRUE(advisor_->Prepare().ok());
     ConstraintSet cs;
@@ -142,6 +143,7 @@ TEST_F(ReportTest, SolverActivityRendersPresolveAndRootBounds) {
   activity.root_lagrangian_bound = rec_.root_lagrangian_bound;
   activity.variables_fixed = rec_.variables_fixed;
   activity.root_lp_stats = rec_.root_lp_stats;
+  activity.root_bound = rec_.root_bound;
   const std::string text = RenderSolverActivity(activity);
   // The tuning run presolved a real BIP and produced root bounds; both
   // must appear side by side in the rendering, along with the LU
@@ -153,11 +155,54 @@ TEST_F(ReportTest, SolverActivityRendersPresolveAndRootBounds) {
   EXPECT_NE(text.find("Basis factorization:"), std::string::npos) << text;
   EXPECT_GE(rec_.root_lp_stats.refactorizations, 1);  // the root LP ran
   EXPECT_NE(text.find("refactorizations"), std::string::npos) << text;
+  EXPECT_NE(text.find("root LP always runs"), std::string::npos) << text;
   // And an empty activity renders none of it.
   const std::string empty = RenderSolverActivity(SolverActivity{});
   EXPECT_EQ(empty.find("Presolve"), std::string::npos);
   EXPECT_EQ(empty.find("Root bounds"), std::string::npos);
   EXPECT_EQ(empty.find("Basis factorization"), std::string::npos);
+  EXPECT_EQ(empty.find("Root gate"), std::string::npos);
+}
+
+TEST_F(ReportTest, SolverActivityRendersTheRootGate) {
+  // Each solve says whether the volume dual proved the gap (LP
+  // skipped) or the LP was escalated, after how many iterations, and
+  // at which gap.
+  SolverActivity activity;
+  activity.root_lagrangian_bound = 95.0;
+  activity.root_bound.dual_iterations = 412;
+  activity.root_bound.gate_gap = 0.05;
+  activity.root_bound.dual_gap = 0.031;
+  activity.root_bound.dual_proven = true;
+  std::string text = RenderSolverActivity(activity);
+  EXPECT_NE(text.find("Root gate: 412 volume iterations, dual gap 3.10% vs "
+                      "gate 5.00% -> root LP skipped"),
+            std::string::npos)
+      << text;
+  activity.root_bound.dual_iterations = 1500;
+  activity.root_bound.dual_gap = 0.072;
+  activity.root_bound.dual_proven = false;
+  activity.root_bound.lp_escalated = true;
+  text = RenderSolverActivity(activity);
+  EXPECT_NE(text.find("1500 volume iterations, dual gap 7.20% vs gate 5.00% "
+                      "-> root LP escalated"),
+            std::string::npos)
+      << text;
+
+  // An end-to-end tune under the default gate reports its verdict too.
+  CoPhy advisor(sim_.get(), &pool_, w_, CoPhyOptions{});
+  ASSERT_TRUE(advisor.Prepare().ok());
+  ConstraintSet cs;
+  cs.SetStorageBudget(0.5 * cat_.TotalDataBytes());
+  const Recommendation rec = advisor.Tune(cs);
+  ASSERT_TRUE(rec.status.ok());
+  EXPECT_GE(rec.root_bound.dual_iterations, 1);
+  SolverActivity tuned;
+  tuned.root_bound = rec.root_bound;
+  EXPECT_NE(RenderSolverActivity(tuned).find(rec.root_bound.lp_escalated
+                                                 ? "root LP escalated"
+                                                 : "root LP skipped"),
+            std::string::npos);
 }
 
 TEST_F(ReportTest, SolverActivityRendersDualAndForrestTomlinCounters) {

@@ -267,6 +267,25 @@ TEST(SessionExecutorTest, BackpressureRejectsBeyondCap) {
   EXPECT_EQ(ex.rejected(), 1);
 }
 
+TEST(SessionExecutorTest, PublishRunsAfterTheLaneReleasesTheTask) {
+  // A full lane (capacity 1) must accept a new task from the finished
+  // task's publish step: whoever the results wake may submit again.
+  ThreadPool pool(2);
+  SessionExecutor ex(&pool, /*max_queued_per_lane=*/1);
+  std::promise<Status> resubmitted;
+  std::atomic<int> ran{0};
+  ASSERT_TRUE(ex.Submit("t", [&ran] { ran.fetch_add(1); },
+                        [&] {
+                          resubmitted.set_value(
+                              ex.Submit("t", [&ran] { ran.fetch_add(1); }));
+                        })
+                  .ok());
+  EXPECT_TRUE(resubmitted.get_future().get().ok());
+  ex.Drain();
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_EQ(ex.rejected(), 0);
+}
+
 TEST(SessionExecutorTest, InlineOnSizeOnePool) {
   ThreadPool pool(1);
   SessionExecutor ex(&pool, 4);
@@ -474,6 +493,22 @@ TEST(ServiceTest, BackpressureResolvesFutureWithResourceExhausted) {
   EXPECT_EQ(service.stats().rejected, 1);
   // With the lane idle again the tenant is welcome back.
   EXPECT_TRUE(service.Tune("t", env.Budget(0.5)).get().status.ok());
+}
+
+TEST(ServiceTest, ClosedLoopClientIsNeverBounced) {
+  // A client that waits for each op before submitting the next never
+  // exceeds one op in flight, so a lane of capacity 1 must accept every
+  // op: the future resolves only after the lane has released the op.
+  TestEnv env;
+  ServiceOptions so;
+  so.num_threads = 2;
+  so.max_inflight_per_tenant = 1;
+  so.session.tuning = TestOptions();
+  AdvisorService service(env.sim.get(), &env.pool, so);
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(service.AdvanceEpoch("t", 1).get().status.ok()) << "op " << i;
+  }
+  EXPECT_EQ(service.stats().rejected, 0);
 }
 
 TEST(ServiceTest, HammerManyTenantsInterleaved) {

@@ -312,9 +312,40 @@ TEST(SessionTest, WeightOnlyDeltaRetunesWarm) {
 }
 
 TEST(SessionTest, ConstraintChangeRetuneKeepsRootLpBound) {
-  // The root-LP skip is reserved for pure re-weighting: a budget change
-  // (structure digest unchanged, constraint digest changed) must keep
-  // the full root machinery so the new bound is computed fresh.
+  // With the root LP always on, a session retune never skips it: the
+  // weight-only delta re-solves it from the retained basis, and a
+  // budget change (structure digest unchanged) computes a fresh bound.
+  const Workload w = MakeWorkload(40);
+  Env e;
+  SessionOptions so;
+  so.tuning = TestOptions();
+  so.tuning.root_lp = lp::RootLpMode::kAlways;
+  so.num_shards = 4;
+  AdvisorSession session(e.sim.get(), &e.pool, so);
+  session.AddWorkload(w);
+  ConstraintSet cs;
+  cs.SetStorageBudget(0.5 * e.cat.TotalDataBytes());
+  ASSERT_TRUE(session.Tune(cs).status.ok());
+
+  // Weight-only delta, same constraints: the LP runs warm.
+  session.AddStatements({w.statements()[0]});
+  const Recommendation warm = session.Retune(cs);
+  ASSERT_TRUE(warm.status.ok());
+  EXPECT_TRUE(std::isfinite(warm.root_lp_bound));
+  EXPECT_TRUE(warm.root_lp_stats.warm_started);
+
+  // Budget change: the root LP runs again.
+  ConstraintSet cs2;
+  cs2.SetStorageBudget(0.25 * e.cat.TotalDataBytes());
+  const Recommendation rebudget = session.Retune(cs2);
+  ASSERT_TRUE(rebudget.status.ok());
+  EXPECT_TRUE(std::isfinite(rebudget.root_lp_bound));
+}
+
+TEST(SessionTest, ReweightingRetuneProvesTheGapWithoutTheRootLp) {
+  // Under the default gate a pure re-weighting retune starts the volume
+  // dual from the previous multipliers, proves the gap with it, and
+  // skips the root LP; the answer stays within the gap target.
   const Workload w = MakeWorkload(40);
   Env e;
   SessionOptions so;
@@ -323,22 +354,18 @@ TEST(SessionTest, ConstraintChangeRetuneKeepsRootLpBound) {
   AdvisorSession session(e.sim.get(), &e.pool, so);
   session.AddWorkload(w);
   ConstraintSet cs;
-  cs.SetStorageBudget(0.5 * e.cat.TotalDataBytes());
+  cs.SetStorageBudget(0.25 * e.cat.TotalDataBytes());
   ASSERT_TRUE(session.Tune(cs).status.ok());
 
-  // Weight-only delta, same constraints: root LP skipped, seeded duals
-  // carry the bound.
-  session.AddStatements({w.statements()[0]});
+  session.AddStatements({w.statements()[0], w.statements()[1]});
   const Recommendation warm = session.Retune(cs);
   ASSERT_TRUE(warm.status.ok());
   EXPECT_TRUE(std::isinf(warm.root_lp_bound));
-
-  // Budget change: the root LP runs again.
-  ConstraintSet cs2;
-  cs2.SetStorageBudget(0.25 * e.cat.TotalDataBytes());
-  const Recommendation rebudget = session.Retune(cs2);
-  ASSERT_TRUE(rebudget.status.ok());
-  EXPECT_TRUE(std::isfinite(rebudget.root_lp_bound));
+  EXPECT_TRUE(warm.root_bound.dual_proven);
+  EXPECT_FALSE(warm.root_bound.lp_escalated);
+  EXPECT_LE(warm.root_bound.dual_gap, so.tuning.gap_target);
+  EXPECT_LE(warm.gap, so.tuning.gap_target);
+  EXPECT_GE(session.resolve_state().warm_reuses, 1);
 }
 
 TEST(SessionTest, CoPhyAdvisorLossyCompressionFallsBack) {
@@ -559,6 +586,7 @@ TEST(ResolveStateTest, RootLpBasisWarmStartsAcrossBudgetRetune) {
   lp::ChoiceSolveOptions so;
   so.gap_target = 0.0;
   so.node_limit = 200000;
+  so.root_lp = lp::RootLpMode::kAlways;
   lp::ChoiceResolveState state;
   so.resolve = &state;
   const lp::ChoiceSolution first = lp::SolveChoiceProblem(p, so);
@@ -578,12 +606,73 @@ TEST(ResolveStateTest, RootLpBasisWarmStartsAcrossBudgetRetune) {
   lp::ChoiceSolveOptions cold_opts;
   cold_opts.gap_target = 0.0;
   cold_opts.node_limit = 200000;
+  cold_opts.root_lp = lp::RootLpMode::kAlways;
   const lp::ChoiceSolution cold = lp::SolveChoiceProblem(tightened, cold_opts);
   ASSERT_TRUE(cold.status.ok());
   EXPECT_FALSE(cold.root_lp_stats.warm_started);
   EXPECT_NEAR(warm.objective, cold.objective,
               1e-9 * std::max(1.0, std::abs(cold.objective)));
   EXPECT_EQ(warm.selected, cold.selected);  // identical incumbent
+}
+
+TEST(ResolveStateTest, RootBasisSurvivesSolvesThatSkipTheLp) {
+  // A solve that skips the root LP must not wipe the retained basis:
+  // after an LP solve and a re-weighting solve without it, a budget
+  // retune still warm-starts the LP from the first solve's basis and
+  // reaches the cold solve's optimum. A structural change clears it.
+  const Workload w = MakeWorkload(15);
+  Env e;
+  CoPhy advisor(e.sim.get(), &e.pool, w, TestOptions());
+  ASSERT_TRUE(advisor.Prepare().ok());
+  ConstraintSet cs;
+  cs.SetStorageBudget(0.5 * e.cat.TotalDataBytes());
+  const ConstraintSet local = advisor.prepared().TranslateConstraints(cs);
+  const lp::ChoiceProblem p =
+      BuildChoiceProblem(advisor.prepared().inum(), advisor.candidates(), local);
+
+  lp::ChoiceResolveState state;
+  lp::ChoiceSolveOptions so;
+  so.gap_target = 0.0;
+  so.node_limit = 200000;
+  so.resolve = &state;
+  so.root_lp = lp::RootLpMode::kAlways;
+  ASSERT_TRUE(lp::SolveChoiceProblem(p, so).status.ok());
+  ASSERT_FALSE(state.root_basis.empty());
+  const lp::LpBasis basis = state.root_basis;
+
+  lp::ChoiceProblem reweighted = p;
+  for (lp::ChoiceQuery& q : reweighted.queries) q.weight *= 1.5;
+  so.root_lp = lp::RootLpMode::kOff;
+  const lp::ChoiceSolution skipped = lp::SolveChoiceProblem(reweighted, so);
+  ASSERT_TRUE(skipped.status.ok());
+  EXPECT_TRUE(skipped.reused_state);
+  EXPECT_EQ(skipped.root_lp_rows, 0);
+  EXPECT_EQ(state.root_basis.variables, basis.variables);
+
+  lp::ChoiceProblem tightened = reweighted;
+  tightened.storage_budget *= 0.6;
+  so.root_lp = lp::RootLpMode::kAlways;
+  const lp::ChoiceSolution warm = lp::SolveChoiceProblem(tightened, so);
+  ASSERT_TRUE(warm.status.ok());
+  ASSERT_GT(warm.root_lp_rows, 0);
+  EXPECT_TRUE(warm.root_lp_stats.warm_started);
+
+  lp::ChoiceSolveOptions cold_opts;
+  cold_opts.gap_target = 0.0;
+  cold_opts.node_limit = 200000;
+  cold_opts.root_lp = lp::RootLpMode::kAlways;
+  const lp::ChoiceSolution cold = lp::SolveChoiceProblem(tightened, cold_opts);
+  ASSERT_TRUE(cold.status.ok());
+  EXPECT_FALSE(cold.root_lp_stats.warm_started);
+  EXPECT_NEAR(warm.objective, cold.objective,
+              1e-9 * std::max(1.0, std::abs(cold.objective)));
+
+  // A different structure: a skipped LP leaves no stale basis behind.
+  lp::ChoiceProblem changed = tightened;
+  changed.queries.pop_back();
+  so.root_lp = lp::RootLpMode::kOff;
+  ASSERT_TRUE(lp::SolveChoiceProblem(changed, so).status.ok());
+  EXPECT_TRUE(state.root_basis.empty());
 }
 
 // --- Shard quarantine & degraded recommendations -------------------------
