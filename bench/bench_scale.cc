@@ -173,9 +173,13 @@ Sample RunSessionDelta(int n, int shards) {
 void WriteJson(const char* path, const std::vector<Sample>& samples) {
   BenchJson json("bench_scale");
   for (const Sample& s : samples) {
+    // Session rows all run on the hardware thread count and differ in
+    // their shard count; the other modes differ in threads.
+    const bool session = std::strcmp(s.mode, "session") == 0;
     char name[128];
-    std::snprintf(name, sizeof(name), "scale/n=%d/mode=%s/threads=%d",
-                  s.statements, s.mode, s.threads);
+    std::snprintf(name, sizeof(name), "scale/n=%d/mode=%s/%s=%d",
+                  s.statements, s.mode, session ? "shards" : "threads",
+                  session ? s.shards : s.threads);
     json.BeginRow(name)
         .Metric("statements", s.statements)
         .Metric("mode", s.mode)

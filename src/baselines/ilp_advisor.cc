@@ -22,13 +22,9 @@ IlpAdvisor::IlpAdvisor(WhatIfOptimizer* whatif, IndexPool* pool,
 }
 
 ThreadPool* IlpAdvisor::PresolvePool() {
-  // Presolve scans reuse the preparation stage's thread knob.
-  const int n = ResolveThreadCount(options_.prepare.num_threads);
-  if (n <= 1) return nullptr;
-  if (presolve_pool_ == nullptr || presolve_pool_->size() != n) {
-    presolve_pool_ = std::make_unique<ThreadPool>(n);
-  }
-  return presolve_pool_.get();
+  // Presolve scans reuse the preparation stage's workers.
+  return PoolFor(options_.prepare.workers, options_.prepare.num_threads,
+                 &presolve_pool_);
 }
 
 AdvisorResult IlpAdvisor::Recommend(const ConstraintSet& constraints) {

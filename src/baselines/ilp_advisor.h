@@ -56,8 +56,9 @@ class IlpAdvisor : public Advisor {
   int64_t configurations_enumerated() const { return configs_enumerated_; }
 
  private:
-  /// Worker pool for the presolve scans (prepare.num_threads; nullptr =
-  /// inline), lazily created and reused across Recommend calls.
+  /// Worker pool for the presolve scans (prepare.workers, or
+  /// prepare.num_threads; nullptr = inline), lazily created and reused
+  /// across Recommend calls.
   ThreadPool* PresolvePool();
 
   WhatIfOptimizer* whatif_;

@@ -1,14 +1,31 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
 
 namespace cophy {
 
 namespace {
-/// Set while a pool worker (or a caller inside ParallelFor) is running
-/// job iterations; nested ParallelFor calls detect it and run inline.
+/// Set while a thread runs ParallelFor iterations; nested ParallelFor
+/// calls detect it and run inline.
 thread_local bool tls_in_parallel_region = false;
+/// The pool whose worker the current thread is (nullptr elsewhere).
+thread_local const ThreadPool* tls_worker_of = nullptr;
 }  // namespace
+
+/// One ParallelFor call, shared with the helpers that joined it.
+struct ThreadPool::Job {
+  Job(int64_t n, const std::function<void(int64_t)>& fn) : n(n), fn(fn) {}
+  const int64_t n;
+  const std::function<void(int64_t)>& fn;
+  std::atomic<int64_t> next{0};
+  std::mutex mu;
+  std::condition_variable done_cv;
+  int64_t completed = 0;     // guarded by mu
+  std::exception_ptr error;  // guarded by mu; first recorded wins
+};
 
 int ResolveThreadCount(int num_threads) {
   if (num_threads > 0) return num_threads;
@@ -33,57 +50,54 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::RunJob(Job& job) {
+int ThreadPool::ThreadsForCaller() const {
+  return static_cast<int>(workers_.size()) + (tls_worker_of == this ? 0 : 1);
+}
+
+void ThreadPool::RunItems(Job& job) {
   const bool was_in_region = tls_in_parallel_region;
   tls_in_parallel_region = true;
-  while (true) {
-    const int64_t i = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= job.n) break;
+  int64_t ran = 0;
+  std::exception_ptr error;
+  for (int64_t i = job.next.fetch_add(1, std::memory_order_relaxed); i < job.n;
+       i = job.next.fetch_add(1, std::memory_order_relaxed)) {
     try {
-      (*job.fn)(i);
+      job.fn(i);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(job.error_mu);
-      if (!job.error) job.error = std::current_exception();
+      if (!error) error = std::current_exception();
     }
-    if (job.completed.fetch_add(1, std::memory_order_release) + 1 == job.n) {
-      // Last item done: wake the (possibly sleeping) caller. Taking the
-      // pool mutex orders this against the caller's predicate check.
-      std::lock_guard<std::mutex> lock(mu_);
-      done_cv_.notify_all();
-    }
+    ++ran;
   }
   tls_in_parallel_region = was_in_region;
+  if (ran == 0) return;
+  std::lock_guard<std::mutex> lock(job.mu);
+  if (error && !job.error) job.error = error;
+  job.completed += ran;
+  if (job.completed == job.n) job.done_cv.notify_all();
 }
 
 void ThreadPool::WorkerLoop() {
-  uint64_t seen_generation = 0;
+  tls_worker_of = this;
   while (true) {
-    Job* job = nullptr;
+    std::shared_ptr<Job> job;
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] {
-        return stop_ || (job_ != nullptr && generation_ != seen_generation) ||
-               !tasks_.empty();
-      });
+      cv_.wait(lock,
+               [&] { return stop_ || !helpers_.empty() || !tasks_.empty(); });
       if (stop_) return;
-      // A published ParallelFor job outranks the Post queue: fork-join
-      // callers are blocked waiting while queued tasks are
-      // fire-and-forget.
-      if (job_ != nullptr && generation_ != seen_generation) {
-        seen_generation = generation_;
-        job = job_;
-        job->in_flight.fetch_add(1, std::memory_order_relaxed);
+      // Helping a running loop comes first: its caller is blocked on
+      // it, while posted tasks are fire-and-forget.
+      if (!helpers_.empty()) {
+        job = std::move(helpers_.front());
+        helpers_.pop_front();
       } else {
         task = std::move(tasks_.front());
         tasks_.pop_front();
       }
     }
     if (job != nullptr) {
-      RunJob(*job);
-      std::lock_guard<std::mutex> lock(mu_);
-      job->in_flight.fetch_sub(1, std::memory_order_release);
-      done_cv_.notify_all();
+      RunItems(*job);
     } else {
       task();
     }
@@ -106,53 +120,35 @@ void ThreadPool::Post(std::function<void()> task) {
 void ThreadPool::ParallelFor(int64_t n,
                              const std::function<void(int64_t)>& fn) {
   if (n <= 0) return;
-  // Nested use (a worker's iteration body fans out again) and trivially
-  // small loops run inline: correct, deterministic, no deadlock.
-  if (tls_in_parallel_region || workers_.empty() || n == 1) {
-    struct RegionReset {
-      bool prior;
-      ~RegionReset() { tls_in_parallel_region = prior; }
-    } reset{tls_in_parallel_region};
-    tls_in_parallel_region = true;
-    std::exception_ptr error;
-    for (int64_t i = 0; i < n; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
+  auto job = std::make_shared<Job>(n, fn);
+  // Nested use (an iteration fans out again) and trivially small loops
+  // run inline: correct, deterministic, no deadlock. Otherwise one
+  // helper per other worker is queued; each runs on a worker that is
+  // idle or frees up while iterations remain, so the fan-out follows the
+  // idle workers and never adds a thread.
+  int64_t helpers = 0;
+  if (!tls_in_parallel_region) {
+    helpers = std::min<int64_t>(n, ThreadsForCaller()) - 1;
+  }
+  if (helpers > 0) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      helpers_.insert(helpers_.end(), helpers, job);
     }
-    if (error) std::rethrow_exception(error);
-    return;
+    for (int64_t h = 0; h < helpers; ++h) cv_.notify_one();
   }
-
-  std::lock_guard<std::mutex> call_lock(call_mu_);
-  Job job;
-  job.n = n;
-  job.fn = &fn;
-  {
+  RunItems(*job);
+  if (helpers > 0) {
+    // Every iteration is claimed: helpers no worker took are moot.
     std::lock_guard<std::mutex> lock(mu_);
-    job_ = &job;
-    ++generation_;
+    helpers_.erase(std::remove(helpers_.begin(), helpers_.end(), job),
+                   helpers_.end());
   }
-  cv_.notify_all();
-  // The calling thread works too; by the time it runs out of items every
-  // iteration has been claimed, so it only has to wait (blocking, not
-  // spinning — stragglers may run for seconds) for the rest.
-  RunJob(job);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] {
-      return job.completed.load(std::memory_order_acquire) >= n;
-    });
-    // Unpublish the job, then wait for workers that already hold a
-    // pointer to it to leave RunJob — `job` lives on this stack frame.
-    job_ = nullptr;
-    done_cv_.wait(lock, [&] {
-      return job.in_flight.load(std::memory_order_acquire) == 0;
-    });
-  }
-  if (job.error) std::rethrow_exception(job.error);
+  // Wait (blocking, not spinning — stragglers may run for seconds) for
+  // the helpers still running a claimed iteration.
+  std::unique_lock<std::mutex> lock(job->mu);
+  job->done_cv.wait(lock, [&] { return job->completed == n; });
+  if (job->error) std::rethrow_exception(job->error);
 }
 
 void ParallelFor(ThreadPool* pool, int64_t n,
@@ -162,6 +158,17 @@ void ParallelFor(ThreadPool* pool, int64_t n,
     return;
   }
   for (int64_t i = 0; i < n; ++i) fn(i);
+}
+
+ThreadPool* PoolFor(ThreadPool* shared, int num_threads,
+                    std::unique_ptr<ThreadPool>* owned) {
+  if (shared != nullptr) return shared;
+  const int n = ResolveThreadCount(num_threads);
+  if (n <= 1) return nullptr;
+  if (*owned == nullptr || (*owned)->size() != n) {
+    *owned = std::make_unique<ThreadPool>(n);
+  }
+  return owned->get();
 }
 
 }  // namespace cophy

@@ -1,17 +1,17 @@
 // A small persistent worker pool with a ParallelFor helper, used by the
-// preparation pipeline (parallel INUM what-if preprocessing). Work items
-// are claimed through an atomic counter, so scheduling is dynamic but
-// callers that write result i into slot i get output that is
-// bit-identical regardless of thread count or interleaving.
+// preparation pipeline (parallel INUM what-if preprocessing) and, through
+// Post, by the service tier's executor. Work items are claimed through an
+// atomic counter, so scheduling is dynamic but callers that write result
+// i into slot i get output that is bit-identical regardless of thread
+// count or interleaving.
 #ifndef COPHY_COMMON_THREAD_POOL_H_
 #define COPHY_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -22,76 +22,81 @@ namespace cophy {
 /// (std::thread::hardware_concurrency, at least 1).
 int ResolveThreadCount(int num_threads);
 
-/// A fixed-size pool of worker threads with two entry points:
-/// ParallelFor (a blocking fork-join loop; concurrent calls from
-/// different threads are serialized by an internal mutex) and Post (a
-/// fire-and-forget task queue drained by the same workers, used by the
-/// service-tier executor). ParallelFor jobs take priority over queued
-/// tasks so preparation fan-outs keep their latency.
+/// A fixed-size pool of worker threads with two entry points: Post (a
+/// fire-and-forget task queue, used by the service-tier executor) and
+/// ParallelFor (a blocking fork-join loop). ParallelFor shares work: the
+/// caller claims items itself, and helper tasks queued ahead of posted
+/// tasks let idle workers join in. Any number of threads may run
+/// ParallelFor at once, on workers or not; helpers are ordinary pool
+/// tasks, so concurrent loops never oversubscribe the machine.
 class ThreadPool {
  public:
-  /// Spawns `num_threads - 1` workers (the calling thread participates
-  /// in every ParallelFor, so a pool of size 1 spawns nothing and runs
-  /// purely inline). num_threads <= 0 resolves to the hardware count.
+  /// Spawns `num_threads - 1` workers (the calling thread is the last
+  /// thread of every ParallelFor, so a pool of size 1 spawns nothing and
+  /// runs purely inline). num_threads <= 0 resolves to the hardware
+  /// count.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Total parallelism including the calling thread.
+  /// Total parallelism of a caller outside the pool: workers + 1.
   int size() const { return static_cast<int>(workers_.size()) + 1; }
 
-  /// Runs fn(i) for every i in [0, n). Blocks until all iterations
-  /// finished. If any iteration throws, the first exception (in claim
-  /// order) is rethrown here after the loop drains; remaining claimed
-  /// iterations still run. Nested calls from inside a worker run the
-  /// loop inline on that worker (no deadlock, no oversubscription).
-  /// n <= 0 is a no-op.
+  /// Threads a ParallelFor started on the calling thread can use: every
+  /// worker, plus the caller unless it is itself one of them.
+  int ThreadsForCaller() const;
+
+  /// Runs fn(i) for every i in [0, n) and blocks until all iterations
+  /// finished. The caller claims iterations itself, and every worker that
+  /// is idle (or frees up) while iterations remain joins in, up to n
+  /// threads in all. The caller waits only for iterations already
+  /// claimed — never for a helper to be scheduled — so a loop finishes
+  /// even when every worker is busy. If any iteration throws, the first
+  /// exception recorded is rethrown here after the loop drains;
+  /// remaining iterations still run. Nested calls from inside an
+  /// iteration run inline on that thread. n <= 0 is a no-op.
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn);
 
   /// Enqueues `task` for execution on some worker thread and returns
   /// immediately. Tasks run in FIFO order relative to each other but
-  /// interleave arbitrarily across workers; a pool of size 1 (no
-  /// workers) runs the task inline before returning. Tasks must not
-  /// throw — an escaping exception terminates the process, as with any
-  /// detached thread. Tasks still queued when the pool is destroyed are
-  /// dropped without running: owners that need completion (the service
+  /// interleave arbitrarily across workers; helping a running
+  /// ParallelFor comes before any task. A pool of size 1 (no workers)
+  /// runs the task inline before returning. Tasks must not throw — an
+  /// escaping exception terminates the process, as with any detached
+  /// thread. Tasks still queued when the pool is destroyed are dropped
+  /// without running: owners that need completion (the service
   /// executor) must drain before tearing the pool down.
   void Post(std::function<void()> task);
 
  private:
-  struct Job {
-    std::atomic<int64_t> next{0};
-    int64_t n = 0;
-    const std::function<void(int64_t)>* fn = nullptr;
-    std::atomic<int64_t> completed{0};
-    /// Workers currently holding a pointer to this job (claimed under
-    /// the pool mutex) — the caller must not destroy the job until this
-    /// drains back to zero.
-    std::atomic<int> in_flight{0};
-    std::mutex error_mu;
-    std::exception_ptr error;  // first exception wins
-  };
+  struct Job;
 
+  /// Claims and runs `job`'s iterations until none are left.
+  static void RunItems(Job& job);
   void WorkerLoop();
-  void RunJob(Job& job);
 
   std::vector<std::thread> workers_;
-  std::mutex mu_;                    // protects job_/generation_/stop_/tasks_
-  std::condition_variable cv_;       // workers wait here for a new job
-  std::condition_variable done_cv_;  // caller waits for completion/drain
-  std::mutex call_mu_;               // serializes ParallelFor callers
-  Job* job_ = nullptr;
-  uint64_t generation_ = 0;
+  std::mutex mu_;               // protects helpers_/tasks_/stop_
+  std::condition_variable cv_;  // workers wait here for work
+  /// Running ParallelFor calls, one entry per helper they asked for.
+  std::deque<std::shared_ptr<Job>> helpers_;
+  std::deque<std::function<void()>> tasks_;  ///< Post() queue
   bool stop_ = false;
-  std::deque<std::function<void()>> tasks_;  // Post() queue
 };
 
 /// Convenience wrapper: runs fn(i) over [0, n) on `pool`, or inline when
 /// `pool` is null (the serial path used when num_threads == 1).
 void ParallelFor(ThreadPool* pool, int64_t n,
                  const std::function<void(int64_t)>& fn);
+
+/// The pool a stage runs on: `shared` when set (not owned), otherwise a
+/// pool of `num_threads` kept in `*owned` — created on first use and
+/// rebuilt when the resolved count changes — or nullptr when that count
+/// is 1 (inline).
+ThreadPool* PoolFor(ThreadPool* shared, int num_threads,
+                    std::unique_ptr<ThreadPool>* owned);
 
 }  // namespace cophy
 

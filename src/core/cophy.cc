@@ -90,12 +90,8 @@ Status CoPhy::AddCandidates(const std::vector<IndexId>& new_ids) {
 }
 
 ThreadPool* CoPhy::PresolvePool() {
-  const int n = ResolveThreadCount(options_.prepare.num_threads);
-  if (n <= 1) return nullptr;
-  if (presolve_pool_ == nullptr || presolve_pool_->size() != n) {
-    presolve_pool_ = std::make_unique<ThreadPool>(n);
-  }
-  return presolve_pool_.get();
+  return PoolFor(options_.prepare.workers, options_.prepare.num_threads,
+                 &presolve_pool_);
 }
 
 std::vector<double> CoPhy::BaselineShellCosts(const ConstraintSet& constraints) {

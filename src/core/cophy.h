@@ -195,9 +195,9 @@ class CoPhy {
                               const SoftConstraint& soft, double lambda,
                               std::vector<uint8_t>* warm);
   std::vector<double> BaselineShellCosts(const ConstraintSet& constraints);
-  /// Worker pool for the presolve scans, sized like the INUM stage
-  /// (prepare.num_threads; nullptr = inline). Lazily created and reused
-  /// across Tune/Retune/Pareto solves.
+  /// Worker pool for the presolve scans: prepare.workers, or one sized
+  /// like the INUM stage (prepare.num_threads; nullptr = inline), lazily
+  /// created and reused across Tune/Retune/Pareto solves.
   ThreadPool* PresolvePool();
 
   WhatIfOptimizer* whatif_;

@@ -35,9 +35,10 @@ struct PrepareOptions {
   /// Share template discovery across cost-equivalent statements that
   /// survive compression (only relevant with compression off or lossy).
   bool share_templates = true;
-  /// External INUM worker pool (not owned; overrides num_threads).
-  /// Sharded sessions hand every shard the same pool so per-shard
-  /// preparation composes with the outer shard fan-out.
+  /// External worker pool (not owned; overrides num_threads) for INUM
+  /// and presolve. Sharded sessions hand every shard the same pool so
+  /// per-shard preparation composes with the outer shard fan-out, and
+  /// the service hands every tenant session its own workers.
   ThreadPool* workers = nullptr;
   /// Wall-clock budget for the INUM preparation run; exceeding it
   /// surfaces as kTimeout so a hung what-if backend cannot stall
@@ -56,7 +57,9 @@ struct PrepareOptions {
 /// shard count and the statement-count skew of the routing).
 struct PrepareStats {
   CompressionStats compression;
-  int num_threads = 1;          ///< threads INUM actually used
+  /// Threads the preparation could use: its pool's workers, plus the
+  /// calling thread unless that is itself one of them (a service op).
+  int num_threads = 1;
   int shared_statements = 0;    ///< INUM caches cloned from a leader
   double cgen_seconds = 0;
   double inum_seconds = 0;

@@ -34,12 +34,8 @@ AdvisorSession::AdvisorSession(WhatIfOptimizer* whatif, IndexPool* pool,
 }
 
 ThreadPool* AdvisorSession::Workers() {
-  const int n = ResolveThreadCount(options_.tuning.prepare.num_threads);
-  if (n <= 1) return nullptr;
-  if (workers_ == nullptr || workers_->size() != n) {
-    workers_ = std::make_unique<ThreadPool>(n);
-  }
-  return workers_.get();
+  return PoolFor(options_.tuning.prepare.workers,
+                 options_.tuning.prepare.num_threads, &workers_);
 }
 
 std::vector<QueryId> AdvisorSession::AddStatements(
@@ -290,6 +286,9 @@ Status AdvisorSession::Refresh() {
 
   std::vector<Status> results(tasks.size());
   ThreadPool* workers = Workers();  // created on the session thread
+  // Asked here, on the op's thread: a shard prepared inside the fan-out
+  // below may run on a worker that does not see the op's whole width.
+  prepare_threads_ = workers != nullptr ? workers->ThreadsForCaller() : 1;
   auto run_task = [&](int64_t i) {
     const Task& t = tasks[i];
     Shard& sh = shards_[t.shard];
@@ -407,6 +406,7 @@ PrepareStats AdvisorSession::prepare_stats() const {
       agg += stats;
     }
   }
+  agg.num_threads = prepare_threads_;
   agg.compression.seconds += route_seconds_total_;
   agg.cgen_seconds += cgen_seconds_total_;
   agg.drift_score = drift_stats_.score;

@@ -204,7 +204,9 @@ class AdvisorSession {
   double ClassWeight(int cls) const;
   /// The shard's compressed view for a full re-preparation.
   CompressedWorkload BuildShardView(int shard) const;
-  /// Shared worker pool (nullptr when single-threaded).
+  /// The pool preparation and presolve run on: prepare.workers when set
+  /// (the service's own pool), else the session's (nullptr when
+  /// single-threaded).
   ThreadPool* Workers();
 
   WhatIfOptimizer* whatif_;
@@ -222,6 +224,7 @@ class AdvisorSession {
   double prepare_wall_seconds_ = 0;  // consumed by the next recommendation
   double cgen_seconds_total_ = 0;    // session-level CGen (merge step)
   double route_seconds_total_ = 0;   // routing + view (re)builds
+  int prepare_threads_ = 1;  // threads the last preparing Refresh could use
   lp::ChoiceResolveState resolve_;
   std::vector<IndexId> last_chosen_;  // warm-start repair across refreshes
   std::unique_ptr<ThreadPool> workers_;

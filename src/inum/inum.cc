@@ -15,17 +15,16 @@ Inum::Inum(WhatIfOptimizer* whatif, InumOptions options)
 }
 
 ThreadPool* Inum::pool() {
-  if (options_.workers != nullptr) {
-    num_threads_used_ = options_.workers->size();
-    return options_.workers;
-  }
-  const int n = ResolveThreadCount(options_.num_threads);
-  num_threads_used_ = n;
-  if (n <= 1) return nullptr;
-  if (thread_pool_ == nullptr || thread_pool_->size() != n) {
-    thread_pool_ = std::make_unique<ThreadPool>(n);
-  }
-  return thread_pool_.get();
+  ThreadPool* tp =
+      PoolFor(options_.workers, options_.num_threads, &thread_pool_);
+  // A caller that is itself a worker of a shared pool (a service op)
+  // does not add a thread to it.
+  num_threads_used_ = tp != nullptr ? tp->ThreadsForCaller() : 1;
+  return tp;
+}
+
+double Inum::RemainingSeconds() const {
+  return options_.deadline_seconds - prepare_sw_.Elapsed();
 }
 
 Status Inum::DeadlineError() const {
@@ -40,25 +39,31 @@ Status Inum::BuildGammaFor(QueryCache& qc, const Query& q,
   const auto by_gamma = [](const SlotAccess& a, const SlotAccess& b) {
     return a.gamma < b.gamma;
   };
+  // A path whose key cannot deliver the order costs ∞, and ∞ entries are
+  // neither stored nor counted: skipping those calls is exact.
+  const auto delivers = [&q](const OrderSpec& order,
+                             const std::vector<ColumnId>& key) {
+    return OrderSatisfiedBy(order, key, EqualityBoundPrefix(q, key));
+  };
   for (size_t slot = 0; slot < qc.slot_orders.size(); ++slot) {
     const TableId t = q.tables[slot];
     for (size_t oi = 0; oi < qc.slot_orders[slot].size(); ++oi) {
       if (DeadlineExpired()) return DeadlineError();
       const OrderSpec& order = qc.slot_orders[slot][oi];
       auto& list = qc.access[slot][oi];
-      double base_gamma;
+      double base_gamma = kInfiniteCost;
       if (!append) {
-        Result<double> base =
-            whatif_->AccessCost(q, static_cast<int>(slot), order,
-                                kInvalidIndex);
-        if (!base.ok()) return base.status();
-        base_gamma = *base;
+        if (delivers(order, whatif_->catalog().table(t).primary_key)) {
+          Result<double> base = whatif_->AccessCost(
+              q, static_cast<int>(slot), order, kInvalidIndex);
+          if (!base.ok()) return base.status();
+          base_gamma = *base;
+        }
         if (base_gamma < kInfiniteCost) {
           list.push_back({kInvalidIndex, base_gamma});
           ++qc.raw_gamma_entries;
         }
       } else {
-        base_gamma = kInfiniteCost;
         for (const SlotAccess& sa : list) {
           if (sa.index == kInvalidIndex) base_gamma = sa.gamma;
         }
@@ -66,6 +71,7 @@ Status Inum::BuildGammaFor(QueryCache& qc, const Query& q,
       const size_t old_size = list.size();
       for (IndexId id : candidates) {
         if (pool[id].table != t) continue;
+        if (!delivers(order, pool[id].key_columns)) continue;
         Result<double> g =
             whatif_->AccessCost(q, static_cast<int>(slot), order, id);
         if (!g.ok()) return g.status();
@@ -131,10 +137,17 @@ Status Inum::PrepareStatement(const Query& q,
   // order-index mapping. A shared-cache hit (confirmed by the exact
   // comparator, so a signature collision degrades to a miss) copies the
   // published entry instead of re-running template enumeration — this
-  // is where a what-if optimization per template is saved.
+  // is where a what-if optimization per template is saved. A miss claims
+  // the key, so a concurrent session preparing the same class waits for
+  // this fill instead of repeating it.
   std::shared_ptr<const SharedTemplateEntry> shared_templates;
+  PlanCacheClaim template_claim;
   if (shared != nullptr) {
-    shared_templates = shared->LookupTemplates(signatures_[q.id]);
+    Result<std::shared_ptr<const SharedTemplateEntry>> found =
+        shared->LookupTemplates(signatures_[q.id], RemainingSeconds(),
+                                &template_claim);
+    if (!found.ok()) return found.status();
+    shared_templates = *found;
     if (shared_templates != nullptr &&
         !CostEquivalent(q, shared_templates->statement, cat)) {
       shared_templates = nullptr;
@@ -168,16 +181,21 @@ Status Inum::PrepareStatement(const Query& q,
       entry->statement = q;
       entry->slot_orders = qc.slot_orders;
       entry->templates = qc.templates;
-      shared->PublishTemplates(signatures_[q.id], std::move(entry));
+      shared->PublishTemplates(signatures_[q.id], std::move(entry),
+                               std::move(template_claim));
     }
   }
 
   // --- γ phase: access-cost tables plus update costs, reusable only
   // when the whole candidate walk matches (see FoldCandidateWalk).
   std::shared_ptr<const SharedGammaEntry> shared_gammas;
+  PlanCacheClaim gamma_claim;
   if (shared != nullptr) {
-    shared_gammas = shared->LookupGammas(signatures_[q.id],
-                                         gamma_digests_[q.id]);
+    Result<std::shared_ptr<const SharedGammaEntry>> found =
+        shared->LookupGammas(signatures_[q.id], gamma_digests_[q.id],
+                             RemainingSeconds(), &gamma_claim);
+    if (!found.ok()) return found.status();
+    shared_gammas = *found;
     if (shared_gammas != nullptr &&
         !CostEquivalent(q, shared_gammas->statement, cat)) {
       shared_gammas = nullptr;
@@ -201,14 +219,15 @@ Status Inum::PrepareStatement(const Query& q,
   if (!s.ok()) return s;
   if (shared != nullptr) {
     gamma_misses_.fetch_add(1, std::memory_order_relaxed);
-    PublishGammasFor(qc, q);
+    PublishGammasFor(qc, q, std::move(gamma_claim));
   }
   return Status::Ok();
 }
 
 /// Publishes `qc`'s current γ tables and update costs under the
-/// statement's (signature, walk digest) key.
-void Inum::PublishGammasFor(const QueryCache& qc, const Query& q) {
+/// statement's (signature, walk digest) key, ending `claim`.
+void Inum::PublishGammasFor(const QueryCache& qc, const Query& q,
+                            PlanCacheClaim claim) {
   auto entry = std::make_shared<SharedGammaEntry>();
   entry->statement = q;
   entry->access = qc.access;
@@ -216,7 +235,7 @@ void Inum::PublishGammasFor(const QueryCache& qc, const Query& q) {
   entry->base_update_cost = qc.base_update_cost;
   entry->update_costs = qc.update_costs;
   options_.plan_cache->PublishGammas(signatures_[q.id], gamma_digests_[q.id],
-                                     std::move(entry));
+                                     std::move(entry), std::move(claim));
 }
 
 void Inum::CloneFromLeader(QueryId qid) {
@@ -299,6 +318,7 @@ Status Inum::AddCandidates(const std::vector<IndexId>& new_candidates) {
     // touches this statement's tables (its γ tables and key are
     // unchanged, so there is no cache traffic to account).
     bool relevant = false;
+    PlanCacheClaim claim;
     if (shared != nullptr) {
       const uint64_t next = FoldCandidateWalk(gamma_digests_[q], query,
                                               new_candidates, whatif_->pool());
@@ -308,8 +328,14 @@ Status Inum::AddCandidates(const std::vector<IndexId>& new_candidates) {
         // When another session already walked this exact history, take
         // its tables wholesale (bit-identical to the append below) and
         // skip the backend entirely.
-        std::shared_ptr<const SharedGammaEntry> entry =
-            shared->LookupGammas(signatures_[q], next);
+        Result<std::shared_ptr<const SharedGammaEntry>> found =
+            shared->LookupGammas(signatures_[q], next, RemainingSeconds(),
+                                 &claim);
+        if (!found.ok()) {
+          errs[q] = found.status();
+          return;
+        }
+        std::shared_ptr<const SharedGammaEntry> entry = *found;
         if (entry != nullptr &&
             !CostEquivalent(query, entry->statement, whatif_->catalog())) {
           entry = nullptr;
@@ -331,7 +357,9 @@ Status Inum::AddCandidates(const std::vector<IndexId>& new_candidates) {
       errs[q] =
           CacheUpdateCosts(qc, query, new_candidates, /*include_base=*/false);
     }
-    if (errs[q].ok() && relevant) PublishGammasFor(qc, query);
+    if (errs[q].ok() && relevant) {
+      PublishGammasFor(qc, query, std::move(claim));
+    }
   });
   for (const Status& s : errs) {
     if (!s.ok()) return s;

@@ -29,7 +29,8 @@
 
 namespace cophy {
 
-class InumPlanCache;  // inum/shared_cache.h
+class InumPlanCache;   // inum/shared_cache.h
+class PlanCacheClaim;  // inum/shared_cache.h
 
 /// One γ-table entry: an access path and its cost for (query, slot,
 /// order). kInvalidIndex denotes the base path I∅.
@@ -157,7 +158,8 @@ class Inum {
   /// Statements whose cache was cloned from a cost-equivalent leader
   /// instead of re-running template discovery (0 when sharing is off).
   int num_shared_statements() const { return num_shared_statements_; }
-  /// The thread count Prepare actually used.
+  /// Threads the last Prepare/AddCandidates could use
+  /// (ThreadPool::ThreadsForCaller of its pool; 1 without one).
   int num_threads_used() const { return num_threads_used_; }
   const InumOptions& options() const { return options_; }
 
@@ -190,8 +192,10 @@ class Inum {
   Status PrepareStatement(const Query& q,
                           const std::vector<IndexId>& candidates);
   /// Publishes qc's γ tables under the statement's current
-  /// (signature, walk-digest) key. Requires options_.plan_cache.
-  void PublishGammasFor(const QueryCache& qc, const Query& q);
+  /// (signature, walk-digest) key, ending `claim` (the lookup's claim on
+  /// that key, if it got one). Requires options_.plan_cache.
+  void PublishGammasFor(const QueryCache& qc, const Query& q,
+                        PlanCacheClaim claim);
   /// Copies the shareable cache parts (orders/templates/γ/ucosts) from
   /// the statement's leader, keeping its own qid/weight/is_update.
   void CloneFromLeader(QueryId qid);
@@ -201,6 +205,9 @@ class Inum {
   bool DeadlineExpired() const {
     return prepare_sw_.Elapsed() > options_.deadline_seconds;
   }
+  /// What is left of this run's deadline (infinite without one): how
+  /// long a plan-cache lookup may wait for another session's fill.
+  double RemainingSeconds() const;
   Status DeadlineError() const;
   /// Single traversal behind ShellCost and ChosenIndexes: the cost of
   /// the best template under `x`, optionally recording the winning

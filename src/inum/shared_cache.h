@@ -30,12 +30,25 @@
 //
 // Entries are immutable once published (shared_ptr<const>, first writer
 // wins), so readers never synchronize beyond the lookup itself.
+//
+// Fills are single-flight: a lookup that misses claims the key, and
+// concurrent lookups of a claimed key wait until its holder publishes
+// (a hit) or gives the claim up without an entry (one waiter then
+// claims the key and fills it itself). Concurrent tenants therefore pay
+// each template enumeration and γ build once, exactly as a serial replay
+// would. The claim is RAII — every exit path of a fill (error status,
+// deadline, exception) releases it — and a thread never waits, on a
+// claim or in ParallelFor, while it holds one, which is what keeps the
+// waits deadlock-free: every claim holder is running.
 #ifndef COPHY_INUM_SHARED_CACHE_H_
 #define COPHY_INUM_SHARED_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <utility>
 
+#include "common/status.h"
 #include "index/index.h"
 #include "inum/inum.h"
 #include "query/query.h"
@@ -70,6 +83,8 @@ struct PlanCacheStats {
   int64_t gamma_hits = 0;
   int64_t gamma_misses = 0;
   int64_t gamma_inserts = 0;
+  /// Lookups that found their key claimed and waited for its fill.
+  int64_t fill_waits = 0;
   int64_t Hits() const { return template_hits + gamma_hits; }
   int64_t Lookups() const {
     return template_hits + template_misses + gamma_hits + gamma_misses;
@@ -80,23 +95,70 @@ struct PlanCacheStats {
   }
 };
 
+/// The right to fill one missing key, handed to the lookup that missed
+/// it. Pass it to the matching Publish*; a claim destroyed (or released)
+/// unpublished gives the key up, and its waiters retry. Movable, not
+/// copyable; must not outlive the cache that issued it.
+class PlanCacheClaim {
+ public:
+  PlanCacheClaim() = default;
+  /// For cache implementations: `release` ends the claim.
+  explicit PlanCacheClaim(std::function<void()> release)
+      : release_(std::move(release)) {}
+  PlanCacheClaim(PlanCacheClaim&& o) noexcept
+      : release_(std::exchange(o.release_, nullptr)) {}
+  PlanCacheClaim& operator=(PlanCacheClaim&& o) noexcept {
+    if (this != &o) {
+      Release();
+      release_ = std::exchange(o.release_, nullptr);
+    }
+    return *this;
+  }
+  PlanCacheClaim(const PlanCacheClaim&) = delete;
+  PlanCacheClaim& operator=(const PlanCacheClaim&) = delete;
+  ~PlanCacheClaim() { Release(); }
+
+  bool held() const { return release_ != nullptr; }
+  /// Ends the claim now (a no-op when none is held).
+  void Release() {
+    if (std::function<void()> release = std::exchange(release_, nullptr)) {
+      release();
+    }
+  }
+
+ private:
+  std::function<void()> release_;
+};
+
 /// Abstract publish/lookup surface Inum talks to. Implementations must
 /// be safe for concurrent readers and writers; Publish* must keep the
 /// first entry when two writers race (so every reader of a key sees one
 /// immutable value forever).
+///
+/// Lookup* returns the key's entry, or nullptr on a miss. A miss on an
+/// unclaimed key sets `*claim`: the caller is the key's only filler and
+/// should publish with it. A lookup that finds the key claimed waits for
+/// that fill, at most `wait_seconds` (infinite: no limit), and returns
+/// kTimeout when the wait runs out. A caller must not look up while it
+/// holds a claim.
 class InumPlanCache {
  public:
   virtual ~InumPlanCache() = default;
 
-  virtual std::shared_ptr<const SharedTemplateEntry> LookupTemplates(
-      uint64_t signature) = 0;
+  virtual Result<std::shared_ptr<const SharedTemplateEntry>> LookupTemplates(
+      uint64_t signature, double wait_seconds, PlanCacheClaim* claim) = 0;
+  /// Stores `entry` (first writer wins), then ends `claim`, waking the
+  /// key's waiters. `claim` may be empty (nothing to wake).
   virtual void PublishTemplates(
-      uint64_t signature, std::shared_ptr<const SharedTemplateEntry> entry) = 0;
+      uint64_t signature, std::shared_ptr<const SharedTemplateEntry> entry,
+      PlanCacheClaim claim) = 0;
 
-  virtual std::shared_ptr<const SharedGammaEntry> LookupGammas(
-      uint64_t signature, uint64_t walk_digest) = 0;
+  virtual Result<std::shared_ptr<const SharedGammaEntry>> LookupGammas(
+      uint64_t signature, uint64_t walk_digest, double wait_seconds,
+      PlanCacheClaim* claim) = 0;
   virtual void PublishGammas(uint64_t signature, uint64_t walk_digest,
-                             std::shared_ptr<const SharedGammaEntry> entry) = 0;
+                             std::shared_ptr<const SharedGammaEntry> entry,
+                             PlanCacheClaim claim) = 0;
 
   virtual PlanCacheStats stats() const = 0;
 };

@@ -39,19 +39,6 @@ void PruneEntries(std::vector<std::pair<OrderSpec, double>>& entries, int cap) {
 
 }  // namespace
 
-bool OrderSatisfiedBy(const OrderSpec& order, const std::vector<ColumnId>& key,
-                      int bound_prefix) {
-  if (order.empty()) return true;
-  auto match_from = [&](size_t start) {
-    if (start + order.size() > key.size()) return false;
-    return std::equal(order.begin(), order.end(), key.begin() + start);
-  };
-  // Rows arrive sorted by the full key; with the leading `bound_prefix`
-  // columns pinned to constants the effective order also begins at
-  // key[bound_prefix].
-  return match_from(0) || match_from(static_cast<size_t>(bound_prefix));
-}
-
 // ---------------------------------------------------------------------------
 // Slot analysis
 
@@ -152,14 +139,16 @@ double SystemSimulator::AccessCostImpl(const Query& q, int slot,
     covers = idx.Covers(info.needed);
   }
 
+  if (!OrderSatisfiedBy(order, key, EqualityBoundPrefix(q, key))) {
+    return kInfiniteCost;
+  }
+
   // Match a leading equality prefix, then at most one range column.
   double matched_sel = 1.0;
-  int bound_prefix = 0;
   int used_preds = 0;
   for (ColumnId kc : key) {
     if (const double* s = eq_sel_on(kc)) {
       matched_sel *= *s;
-      ++bound_prefix;
       ++used_preds;
       continue;
     }
@@ -169,8 +158,6 @@ double SystemSimulator::AccessCostImpl(const Query& q, int slot,
     }
     break;
   }
-
-  if (!OrderSatisfiedBy(order, key, bound_prefix)) return kInfiniteCost;
 
   const double rows_scanned = std::max(1.0, info.rows * matched_sel);
   const int residual = info.num_preds - used_preds;

@@ -83,12 +83,6 @@ class SystemSimulator : public WhatIfOptimizer {
   std::atomic<int64_t> whatif_calls_{0};
 };
 
-/// Returns true if `order` is satisfied by an access path delivering
-/// rows sorted by `key` when the leading `bound_prefix` key columns are
-/// equality-bound. Shared by the simulator and tests.
-bool OrderSatisfiedBy(const OrderSpec& order, const std::vector<ColumnId>& key,
-                      int bound_prefix);
-
 }  // namespace cophy
 
 #endif  // COPHY_OPTIMIZER_SIMULATOR_H_

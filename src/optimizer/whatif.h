@@ -13,6 +13,7 @@
 #ifndef COPHY_OPTIMIZER_WHATIF_H_
 #define COPHY_OPTIMIZER_WHATIF_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -30,6 +31,39 @@ namespace cophy {
 using OrderSpec = std::vector<ColumnId>;
 
 inline constexpr double kInfiniteCost = std::numeric_limits<double>::infinity();
+
+/// The number of leading `key` columns that `q` binds with an equality
+/// predicate: rows within that prefix all share one key value there.
+inline int EqualityBoundPrefix(const Query& q,
+                               const std::vector<ColumnId>& key) {
+  int bound = 0;
+  for (ColumnId c : key) {
+    const bool eq = std::any_of(
+        q.predicates.begin(), q.predicates.end(), [c](const Predicate& p) {
+          return p.column == c && p.op == Predicate::Op::kEq;
+        });
+    if (!eq) break;
+    ++bound;
+  }
+  return bound;
+}
+
+/// The order rule of AccessCost: an access path delivers its rows sorted
+/// by its `key`, so it satisfies `order` iff `order` is a prefix of the
+/// key, or of the key after its leading `bound_prefix` equality-bound
+/// columns (EqualityBoundPrefix). Every backend's AccessCost returns
+/// kInfiniteCost for a path that fails it, which lets INUM skip those
+/// calls without changing a single γ entry.
+inline bool OrderSatisfiedBy(const OrderSpec& order,
+                             const std::vector<ColumnId>& key,
+                             int bound_prefix) {
+  if (order.empty()) return true;
+  auto match_from = [&](size_t start) {
+    if (start + order.size() > key.size()) return false;
+    return std::equal(order.begin(), order.end(), key.begin() + start);
+  };
+  return match_from(0) || match_from(static_cast<size_t>(bound_prefix));
+}
 
 /// One template plan (INUM's TPlans(q) element, §2/Fig. 1): a choice of
 /// interesting order per table slot plus the internal plan cost β of the
@@ -81,7 +115,8 @@ class WhatIfOptimizer {
 
   /// γ(q, slot, order, a): cost for access path `a` (kInvalidIndex = the
   /// base clustered-PK path I∅) to produce slot `slot`'s rows sorted by
-  /// `order`; kInfiniteCost if the path cannot deliver that order.
+  /// `order`; kInfiniteCost if the path cannot deliver that order —
+  /// always when the path's key fails OrderSatisfiedBy.
   /// On a healthy backend this is a pure function of its arguments —
   /// that is what linear composability means operationally.
   virtual Result<double> AccessCost(const Query& q, int slot,

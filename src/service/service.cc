@@ -4,13 +4,24 @@
 
 namespace cophy {
 
+namespace {
+/// ThreadPool(k) spawns k - 1 workers, counting a ParallelFor caller as
+/// the k-th thread; the thread calling Submit never runs an op, so N
+/// op-executing workers take a pool of N + 1. N = 1 keeps the worker-less
+/// pool, which runs every op inline.
+int PoolSize(int num_threads) {
+  const int n = ResolveThreadCount(num_threads);
+  return n > 1 ? n + 1 : 1;
+}
+}  // namespace
+
 AdvisorService::AdvisorService(WhatIfOptimizer* whatif, IndexPool* pool,
                                ServiceOptions options)
     : whatif_(whatif),
       pool_(pool),
       options_(std::move(options)),
       cache_(options_.plan_cache_shards),
-      workers_(options_.num_threads),
+      workers_(PoolSize(options_.num_threads)),
       executor_(&workers_, options_.max_inflight_per_tenant) {
   // One full warm here, before any worker can touch the catalog: the
   // Zipf cache is lazily built and not locked, so we make every later
@@ -18,19 +29,22 @@ AdvisorService::AdvisorService(WhatIfOptimizer* whatif, IndexPool* pool,
   whatif_->catalog().WarmStatistics();
 }
 
-AdvisorService::~AdvisorService() = default;  // executor_ drains first
+AdvisorService::~AdvisorService() {
+  // Queued ops use the sessions, which members destroy before the
+  // executor: finish them while everything is still alive.
+  executor_.Drain();
+}
 
 AdvisorSession* AdvisorService::SessionFor(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   auto& slot = sessions_[tenant];
   if (slot == nullptr) {
     SessionOptions opts = options_.session;
-    // The op already occupies one pool worker; a nested preparation
-    // fan-out would oversubscribe the machine, so tenant sessions
-    // prepare single-threaded. Cross-tenant concurrency comes from the
-    // executor, cross-tenant sharing from the plan cache.
-    opts.tuning.prepare.num_threads = 1;
-    opts.tuning.prepare.workers = nullptr;
+    // Ops run on the service's workers and fan out over the idle ones:
+    // cross-tenant concurrency comes from the executor, a lone op's
+    // parallelism from work-sharing ParallelFor, and cross-tenant
+    // sharing from the plan cache.
+    opts.tuning.prepare.workers = &workers_;
     opts.tuning.prepare.plan_cache =
         options_.share_plan_cache ? &cache_ : nullptr;
     slot = std::make_unique<AdvisorSession>(whatif_, pool_, std::move(opts));

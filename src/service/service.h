@@ -34,9 +34,12 @@ namespace cophy {
 
 /// Service-tier knobs.
 struct ServiceOptions {
-  /// Worker threads shared by all tenants (<= 0: hardware count). Note
-  /// 1 means *no* concurrency — ops run inline at Submit in submission
-  /// order, the benchmark's "serialized dispatch" baseline.
+  /// Op-executing workers shared by all tenants (<= 0: hardware count):
+  /// N workers run up to N tenants' ops at once. They are also the
+  /// sessions' preparation and presolve pool, so an op's INUM Prepare
+  /// and presolve scans fan out over whichever workers are idle. 1 means
+  /// *no* concurrency — ops run inline at Submit in submission order,
+  /// the benchmark's "serialized dispatch" baseline.
   int num_threads = 0;
   /// Per-tenant in-flight cap (queued + running); Submit past it fails
   /// fast with kResourceExhausted. <= 0 means unbounded.
@@ -46,10 +49,10 @@ struct ServiceOptions {
   bool share_plan_cache = true;
   /// Lock shards of the shared cache.
   int plan_cache_shards = 16;
-  /// Per-tenant session defaults. prepare.num_threads / prepare.workers
-  /// / prepare.plan_cache are overridden by the service: sessions
-  /// prepare single-threaded (their op already owns one pool worker;
-  /// nested fan-out would oversubscribe) and the cache pointer is the
+  /// Per-tenant session defaults. prepare.workers and prepare.plan_cache
+  /// are overridden by the service: sessions prepare and presolve on the
+  /// service's workers (fan-out helpers are ordinary pool tasks, so the
+  /// machine is never oversubscribed), and the cache pointer is the
   /// service's, governed by share_plan_cache.
   SessionOptions session;
 };
@@ -151,7 +154,7 @@ class AdvisorService {
   int num_tenants() const;
 
  private:
-  /// Lazily creates the tenant's session (single-threaded preparation,
+  /// Lazily creates the tenant's session (the service's workers and
   /// shared cache wired in).
   AdvisorSession* SessionFor(const std::string& tenant);
 
@@ -160,7 +163,7 @@ class AdvisorService {
   ServiceOptions options_;
   SharedPlanCache cache_;
   ThreadPool workers_;
-  SessionExecutor executor_;  // declared after workers_: drains first
+  SessionExecutor executor_;  // declared after workers_: destroyed first
   mutable std::mutex sessions_mu_;
   std::unordered_map<std::string, std::unique_ptr<AdvisorSession>> sessions_;
 };

@@ -3,16 +3,25 @@
 // recommendations are bit-identical to a serial replay of each tenant's
 // own op stream, and the cross-session plan cache — recommendations
 // bit-identical cache on vs off while the cache-on service performs
-// strictly fewer what-if optimizer calls once tenants overlap. The
-// interleaved tests run under TSan in CI (concurrency job).
+// strictly fewer what-if optimizer calls once tenants overlap, and
+// single-flight fills (concurrent tenants pay each template enumeration
+// once). N workers run N ops at once, and a lone op's preparation fans
+// out over the idle ones. The interleaved tests run under TSan in CI
+// (concurrency job).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -511,6 +520,32 @@ TEST(ServiceTest, ClosedLoopClientIsNeverBounced) {
   EXPECT_EQ(service.stats().rejected, 0);
 }
 
+TEST(ServiceTest, DestroyingTheServiceFinishesQueuedOps) {
+  // Ops still queued when the service goes away run to completion
+  // against live sessions; their futures resolve OK.
+  TestEnv env;
+  std::vector<std::future<OpResult>> pending;
+  {
+    ServiceOptions so;
+    so.num_threads = 2;
+    so.session.tuning = TestOptions();
+    AdvisorService service(env.sim.get(), &env.pool, so);
+    for (int t = 0; t < 3; ++t) {
+      const std::string tenant = "tenant-" + std::to_string(t);
+      std::vector<Query> batch;
+      for (int i = 0; i < 4; ++i) {
+        batch.push_back(TenantStatement(env.cat, t, i));
+      }
+      pending.push_back(service.AddStatements(tenant, batch));
+      pending.push_back(service.Tune(tenant, env.Budget(0.5)));
+    }
+  }
+  for (auto& f : pending) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    EXPECT_TRUE(f.get().status.ok());
+  }
+}
+
 TEST(ServiceTest, HammerManyTenantsInterleaved) {
   // Race-hunting workload for the TSan job: more tenants than workers,
   // every tenant churning add/remove/retune concurrently through the
@@ -568,6 +603,304 @@ TEST(ServiceTest, HammerDriftingTenantsInterleaved) {
   for (int t = 0; t < kTenants; t += 2) {
     EXPECT_FALSE(finals[t].configuration.Contains(t)) << "tenant " << t;
   }
+}
+
+// --- Worker concurrency and single-flight fills ----------------------------
+
+/// Forwards to `inner`, calling `hook` at the start of every
+/// EnumerateTemplates (the what-if call a template fill makes); a hook
+/// that returns an error replaces the call's result.
+class HookedWhatIf final : public WhatIfOptimizer {
+ public:
+  using Hook = std::function<Status(const Query&)>;
+  HookedWhatIf(WhatIfOptimizer* inner, Hook hook)
+      : inner_(inner), hook_(std::move(hook)) {}
+
+  Result<double> Cost(const Query& q, const Configuration& x) override {
+    return inner_->Cost(q, x);
+  }
+  Result<double> UpdateCost(IndexId a, const Query& q) override {
+    return inner_->UpdateCost(a, q);
+  }
+  Result<std::vector<TemplatePlan>> EnumerateTemplates(
+      const Query& q) override {
+    calls_.fetch_add(1);
+    const Status s = hook_(q);
+    if (!s.ok()) return s;
+    return inner_->EnumerateTemplates(q);
+  }
+  Result<double> AccessCost(const Query& q, int slot, const OrderSpec& order,
+                            IndexId a) override {
+    return inner_->AccessCost(q, slot, order, a);
+  }
+  Result<double> ShellCost(const Query& q, const Configuration& x) override {
+    return inner_->ShellCost(q, x);
+  }
+  Result<double> BaseUpdateCost(const Query& q) override {
+    return inner_->BaseUpdateCost(q);
+  }
+  std::vector<std::vector<OrderSpec>> SlotOrderCandidates(
+      const Query& q) const override {
+    return inner_->SlotOrderCandidates(q);
+  }
+  const Catalog& catalog() const override { return inner_->catalog(); }
+  const IndexPool& pool() const override { return inner_->pool(); }
+  int64_t num_whatif_calls() const override {
+    return inner_->num_whatif_calls();
+  }
+
+  /// EnumerateTemplates calls so far.
+  int64_t calls() const { return calls_.load(); }
+
+ private:
+  WhatIfOptimizer* inner_;
+  Hook hook_;
+  std::atomic<int64_t> calls_{0};
+};
+
+/// Lets the first `quorum` arrivals wait, at most ten seconds, until all
+/// of them are there at once; later arrivals pass straight through.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int quorum) : quorum_(quorum) {}
+  void Arrive() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (++arrived_ == quorum_) cv_.notify_all();
+    if (!cv_.wait_for(lock, std::chrono::seconds(10),
+                      [&] { return arrived_ >= quorum_; })) {
+      gave_up_ = true;
+    }
+  }
+  /// Whether `quorum` threads were inside at once: all arrived, and none
+  /// gave up waiting for the others first.
+  bool met() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return arrived_ >= quorum_ && !gave_up_;
+  }
+
+ private:
+  const int quorum_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int arrived_ = 0;
+  bool gave_up_ = false;
+};
+
+/// One statement per homogeneous template: distinct templates are never
+/// cost-equivalent, so each is its own class (and its own cache key).
+Query ClassStatement(const Catalog& cat, int tmpl) {
+  return MakeHomogeneousStatement(cat, tmpl,
+                                  5000 + static_cast<uint64_t>(tmpl));
+}
+
+TEST(ServiceTest, TwoWorkersRunTwoTenantsOpsAtOnce) {
+  // Each tenant holds one class of its own; the two fills rendezvous
+  // inside the backend, which only two concurrently running ops reach.
+  TestEnv env;
+  Rendezvous both(2);
+  HookedWhatIf hooked(env.sim.get(), [&](const Query&) {
+    both.Arrive();
+    return Status::Ok();
+  });
+  ServiceOptions so;
+  so.num_threads = 2;
+  so.session.tuning = TestOptions();
+  AdvisorService service(&hooked, &env.pool, so);
+  std::vector<std::future<OpResult>> tuned;
+  for (int t = 0; t < 2; ++t) {
+    const std::string tenant = "tenant-" + std::to_string(t);
+    service.AddStatements(tenant, {ClassStatement(env.cat, t)});
+    tuned.push_back(service.Tune(tenant, env.Budget(0.5)));
+  }
+  for (auto& f : tuned) EXPECT_TRUE(f.get().status.ok());
+  EXPECT_TRUE(both.met());
+}
+
+TEST(ServiceTest, LoneOpPreparationFansOutOverTheIdleWorker) {
+  // One tenant, two classes, two workers: the op holds one worker and
+  // its INUM Prepare must pull the idle one in, so both template fills
+  // are inside the backend at once.
+  TestEnv env;
+  Rendezvous both(2);
+  HookedWhatIf hooked(env.sim.get(), [&](const Query&) {
+    both.Arrive();
+    return Status::Ok();
+  });
+  ServiceOptions so;
+  so.num_threads = 2;
+  so.session.tuning = TestOptions();
+  const std::vector<Query> batch = {ClassStatement(env.cat, 0),
+                                    ClassStatement(env.cat, 1)};
+  Recommendation rec;
+  {
+    AdvisorService service(&hooked, &env.pool, so);
+    ASSERT_TRUE(service.AddStatements("t", batch).get().status.ok());
+    OpResult r = service.Tune("t", env.Budget(0.5)).get();
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    rec = std::move(r.recommendation);
+  }
+  EXPECT_TRUE(both.met());
+  // The op runs on a worker, so it can use the two workers and no more.
+  EXPECT_EQ(rec.prepare.num_threads, 2);
+  // Fanning out changes who does the work, never the result.
+  ServiceOp add;
+  add.kind = ServiceOp::Kind::kAddStatements;
+  add.statements = batch;
+  ServiceOp tune;
+  tune.kind = ServiceOp::Kind::kTune;
+  tune.constraints = env.Budget(0.5);
+  ExpectBitIdentical(rec, ReplaySerial(env, {add, tune}));
+}
+
+TEST(ServiceTest, ConcurrentTenantsPayEachTemplateFillOnce) {
+  // Tenants adding the same classes at once must make exactly the
+  // template what-if calls one tenant alone makes: a miss claims the
+  // fill and the others wait for it. Slow fills make the overlap certain.
+  const std::vector<int> classes = {0, 1, 2, 3};
+  auto template_calls = [&](int tenants) {
+    TestEnv env;
+    HookedWhatIf hooked(env.sim.get(), [](const Query&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return Status::Ok();
+    });
+    ServiceOptions so;
+    so.num_threads = 4;
+    so.session.tuning = TestOptions();
+    AdvisorService service(&hooked, &env.pool, so);
+    std::vector<Query> batch;
+    for (int c : classes) batch.push_back(ClassStatement(env.cat, c));
+    std::vector<std::future<OpResult>> tuned;
+    for (int t = 0; t < tenants; ++t) {
+      const std::string tenant = "tenant-" + std::to_string(t);
+      service.AddStatements(tenant, batch);
+      tuned.push_back(service.Tune(tenant, env.Budget(0.5)));
+    }
+    for (auto& f : tuned) EXPECT_TRUE(f.get().status.ok());
+    service.Drain();
+    if (tenants > 1) {
+      EXPECT_GT(service.stats().plan_cache.fill_waits, 0);
+    }
+    return hooked.calls();
+  };
+  const int64_t alone = template_calls(1);
+  EXPECT_EQ(alone, static_cast<int64_t>(classes.size()));
+  EXPECT_EQ(template_calls(3), alone);
+}
+
+TEST(ServiceTest, FailedFillReleasesItsWaitersWhoFillItThemselves) {
+  // The first template fill fails once another tenant waits on it: the
+  // failing tenant's claim must be released, and the waiter must then
+  // claim the class and fill it itself.
+  TestEnv env;
+  std::atomic<bool> failed_once{false};
+  AdvisorService* service_ptr = nullptr;
+  HookedWhatIf hooked(env.sim.get(), [&](const Query&) {
+    if (failed_once.exchange(true)) return Status::Ok();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (service_ptr->stats().plan_cache.fill_waits == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return Status::Internal("injected template fill failure");
+  });
+  ServiceOptions so;
+  so.num_threads = 2;
+  so.session.tuning = TestOptions();
+  AdvisorService service(&hooked, &env.pool, so);
+  service_ptr = &service;
+  const std::vector<Query> batch = {ClassStatement(env.cat, 0)};
+  std::vector<std::future<OpResult>> tuned;
+  for (int t = 0; t < 2; ++t) {
+    const std::string tenant = "tenant-" + std::to_string(t);
+    service.AddStatements(tenant, batch);
+    tuned.push_back(service.Tune(tenant, env.Budget(0.5)));
+  }
+  std::vector<OpResult> results;
+  for (auto& f : tuned) results.push_back(f.get());
+  service.Drain();
+  EXPECT_EQ(service.stats().plan_cache.fill_waits, 1);
+  EXPECT_EQ(hooked.calls(), 2);  // the failed fill and the waiter's own
+  const int ok = results[0].status.ok() ? 0 : 1;
+  ASSERT_TRUE(results[ok].status.ok()) << results[ok].status.ToString();
+  EXPECT_EQ(results[1 - ok].status.code(), StatusCode::kInternal);
+  ServiceOp add;
+  add.kind = ServiceOp::Kind::kAddStatements;
+  add.statements = batch;
+  ServiceOp tune;
+  tune.kind = ServiceOp::Kind::kTune;
+  tune.constraints = env.Budget(0.5);
+  ExpectBitIdentical(results[ok].recommendation,
+                     ReplaySerial(env, {add, tune}));
+}
+
+// --- SharedPlanCache single-flight -------------------------------------------
+
+constexpr double kNoLimit = std::numeric_limits<double>::infinity();
+
+/// Polls until `cache` counts `n` waiting lookups (bounded).
+bool AwaitFillWaits(const SharedPlanCache& cache, int64_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (cache.stats().fill_waits < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(SharedPlanCacheTest, MissClaimsAndWaitersTakeThePublishedEntry) {
+  SharedPlanCache cache(1);
+  PlanCacheClaim claim;
+  auto first = cache.LookupTemplates(7, kNoLimit, &claim);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, nullptr);
+  ASSERT_TRUE(claim.held());
+  std::future<bool> waiter = std::async(std::launch::async, [&] {
+    PlanCacheClaim mine;
+    auto r = cache.LookupTemplates(7, 10.0, &mine);
+    return r.ok() && *r != nullptr && !mine.held();
+  });
+  ASSERT_TRUE(AwaitFillWaits(cache, 1));
+  cache.PublishTemplates(7, std::make_shared<SharedTemplateEntry>(),
+                         std::move(claim));
+  EXPECT_TRUE(waiter.get());
+  const PlanCacheStats s = cache.stats();
+  EXPECT_EQ(s.template_misses, 1);
+  EXPECT_EQ(s.template_hits, 1);
+  EXPECT_EQ(s.template_inserts, 1);
+}
+
+TEST(SharedPlanCacheTest, ReleasedClaimPassesTheFillToAWaiter) {
+  SharedPlanCache cache(1);
+  std::future<bool> waiter;
+  {
+    PlanCacheClaim claim;
+    ASSERT_TRUE(cache.LookupGammas(7, 9, kNoLimit, &claim).ok());
+    ASSERT_TRUE(claim.held());
+    waiter = std::async(std::launch::async, [&] {
+      PlanCacheClaim mine;
+      auto r = cache.LookupGammas(7, 9, 10.0, &mine);
+      return r.ok() && *r == nullptr && mine.held();
+    });
+    ASSERT_TRUE(AwaitFillWaits(cache, 1));
+  }  // the fill failed: the claim goes out of scope unpublished
+  EXPECT_TRUE(waiter.get());
+  EXPECT_EQ(cache.stats().gamma_misses, 2);
+}
+
+TEST(SharedPlanCacheTest, WaiterHonoursItsDeadline) {
+  SharedPlanCache cache(1);
+  PlanCacheClaim claim;
+  ASSERT_TRUE(cache.LookupTemplates(7, kNoLimit, &claim).ok());
+  PlanCacheClaim mine;
+  auto r = cache.LookupTemplates(7, 0.05, &mine);
+  EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
+  EXPECT_FALSE(mine.held());
+  // Another key is not held up by the claim.
+  auto other = cache.LookupTemplates(8, 0.0, &mine);
+  ASSERT_TRUE(other.ok());
+  EXPECT_TRUE(mine.held());
 }
 
 }  // namespace

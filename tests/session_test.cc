@@ -104,6 +104,32 @@ TuneResult RunSession(const Workload& w, double budget_m, int shards,
 
 // --- Shard invariance ----------------------------------------------------
 
+TEST(SessionTest, PreparesAndPresolvesOnTheWorkersItIsGiven) {
+  // The service arrangement: a session handed prepare.workers runs its
+  // shard fan-out, INUM loops and presolve scans on that pool, whatever
+  // prepare.num_threads says, and tunes bit-identically to its own pool.
+  const Workload w = MakeWorkload(30, 42, /*update_fraction=*/0.2);
+  const TuneResult own = RunSession(w, 0.5, /*shards=*/2);
+  Env e;
+  ThreadPool workers(3);
+  SessionOptions so;
+  so.tuning = TestOptions();
+  so.tuning.prepare.num_threads = 1;
+  so.tuning.prepare.workers = &workers;
+  so.num_shards = 2;
+  AdvisorSession session(e.sim.get(), &e.pool, so);
+  session.AddWorkload(w);
+  ConstraintSet cs;
+  cs.SetStorageBudget(0.5 * e.cat.TotalDataBytes());
+  const Recommendation rec = session.Tune(cs);
+  ASSERT_TRUE(rec.status.ok()) << rec.status.ToString();
+  EXPECT_EQ(rec.prepare.num_threads, workers.size());
+  std::vector<IndexId> config = rec.configuration.ids();
+  std::sort(config.begin(), config.end());
+  EXPECT_EQ(config, own.config);
+  EXPECT_EQ(rec.objective, own.objective);  // exact bits
+}
+
 TEST(SessionTest, ShardInvariance30Statements) {
   const Workload w = MakeWorkload(30, 42, /*update_fraction=*/0.2);
   const TuneResult unsharded = RunCoPhy(w, 0.5);

@@ -1,13 +1,19 @@
 // Unit tests for the worker pool behind the parallel preparation
 // pipeline: coverage for empty ranges, exception propagation, nested
-// use, reuse, and the determinism contract (slot-indexed writes are
-// thread-count independent).
+// use, reuse, the determinism contract (slot-indexed writes are
+// thread-count independent), and work sharing (concurrent ParallelFor
+// callers, fan-out from posted tasks onto idle workers).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -156,6 +162,96 @@ TEST(ThreadPoolTest, PostAndParallelForCoexist) {
   EXPECT_EQ(sum.load(), 4950);
   drained.get_future().wait();
   EXPECT_EQ(posted.load(), kTasks);
+}
+
+/// Counts threads arriving at a point and lets each wait, at most a
+/// bounded time, until `quorum` of them are there at once.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int quorum) : quorum_(quorum) {}
+  /// Arrives and waits for the quorum; returns whether it was reached.
+  bool ArriveAndWait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    threads_.insert(std::this_thread::get_id());
+    if (++arrived_ >= quorum_) cv_.notify_all();
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return arrived_ >= quorum_; });
+  }
+  int distinct_threads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<int>(threads_.size());
+  }
+
+ private:
+  const int quorum_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int arrived_ = 0;
+  std::set<std::thread::id> threads_;
+};
+
+TEST(ThreadPoolTest, ConcurrentCallersProgressAtTheSameTime) {
+  // Two posted tasks each run a ParallelFor whose first iteration waits
+  // for the other loop's: both loops must be inside their bodies at
+  // once (a pool-wide lock around ParallelFor would serialize them).
+  ThreadPool pool(3);  // two workers, both running a posted task
+  Rendezvous both(2);
+  std::promise<bool> done[2];
+  for (int t = 0; t < 2; ++t) {
+    pool.Post([&, t] {
+      std::atomic<bool> met{false};
+      pool.ParallelFor(2, [&](int64_t i) {
+        if (i == 0) met = both.ArriveAndWait();
+      });
+      done[t].set_value(met.load());
+    });
+  }
+  EXPECT_TRUE(done[0].get_future().get());
+  EXPECT_TRUE(done[1].get_future().get());
+}
+
+TEST(ThreadPoolTest, ParallelForFromAPostedTaskUsesAnIdleWorker) {
+  ThreadPool pool(3);  // the posted task holds one worker, one is idle
+  Rendezvous both(2);
+  std::promise<bool> done;
+  pool.Post([&] {
+    std::atomic<bool> met{true};
+    pool.ParallelFor(2, [&](int64_t) {
+      if (!both.ArriveAndWait()) met = false;
+    });
+    done.set_value(met.load());
+  });
+  EXPECT_TRUE(done.get_future().get());
+  EXPECT_EQ(both.distinct_threads(), 2);
+}
+
+TEST(ThreadPoolTest, ThreadsForCallerCountsTheCallerOnlyOutsideThePool) {
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.ThreadsForCaller(), 3);  // two workers plus this thread
+  std::promise<int> on_worker;
+  pool.Post([&] { on_worker.set_value(pool.ThreadsForCaller()); });
+  EXPECT_EQ(on_worker.get_future().get(), 2);
+  ThreadPool inline_pool(1);
+  EXPECT_EQ(inline_pool.ThreadsForCaller(), 1);
+}
+
+TEST(ThreadPoolTest, ManyConcurrentCallersOnBusyWorkersFinish) {
+  // Every worker is itself a ParallelFor caller: helpers queued for busy
+  // workers must never be waited for, or the loops would deadlock.
+  ThreadPool pool(4);
+  constexpr int kCallers = 12;
+  std::atomic<int64_t> sum{0};
+  std::atomic<int> finished{0};
+  std::promise<void> all_done;
+  for (int c = 0; c < kCallers; ++c) {
+    pool.Post([&] {
+      pool.ParallelFor(64, [&](int64_t i) { sum += i; });
+      if (finished.fetch_add(1) + 1 == kCallers) all_done.set_value();
+    });
+  }
+  ASSERT_EQ(all_done.get_future().wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_EQ(sum.load(), kCallers * 2016);
 }
 
 }  // namespace
